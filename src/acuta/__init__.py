@@ -7,9 +7,8 @@ them in exact (rational or sparse dyadic) or float64 arithmetic, and ships
 the verification machinery separately from the construction so
 certificates never trust the builder.
 """
-from .scalars import (Backend, Dyadic, FLOAT64, RATIONAL, Scalar,
-                      ScalarError, Tolerance, scalar_cmp, scalar_parse,
-                      scalar_render)
+from .scalars import (Backend, Dyadic, FLOAT64, RATIONAL, ScalarError,
+                      Tolerance)
 from .geometry import (GeometryError, Point, PointSet, TripleWitness,
                        dot_at_apex, set_margin, squared_diameter,
                        triangle_margin)
@@ -27,8 +26,7 @@ from .pointset_io import ParseError, load_point_set, save_point_set
 __version__ = "0.1.0"
 
 __all__ = [
-    "Backend", "Dyadic", "FLOAT64", "RATIONAL", "Scalar", "ScalarError", "Tolerance",
-    "scalar_cmp", "scalar_parse", "scalar_render",
+    "Backend", "Dyadic", "FLOAT64", "RATIONAL", "ScalarError", "Tolerance",
     "GeometryError", "Point", "PointSet", "TripleWitness", "dot_at_apex",
     "set_margin", "squared_diameter", "triangle_margin",
     "ConstructionConfig", "ConstructionError", "ConstructionTrace",

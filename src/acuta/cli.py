@@ -73,8 +73,7 @@ def cmd_generate(args) -> int:
     backend = RATIONAL if args.mode == "exact" else FLOAT64
     cfg = ConstructionConfig(
         dim=args.dim, backend=backend, schedule=args.schedule,
-        s1=args.s1, gamma=args.gamma, apex_height=args.apex_height,
-        seed=args.seed)
+        s1=args.s1, gamma=args.gamma, apex_height=args.apex_height)
     ps, trace, report = construct_full(cfg)
     if args.out:
         if args.format == "csv":
@@ -140,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="decay rate for the geometric schedule")
     g.add_argument("--apex-height", dest="apex_height", default=None,
                    help="apex height c (default d/2); needs c^2 > (d-1)/4")
-    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=None)
     g.add_argument("--format", choices=("json", "csv"), default="json")
     g.set_defaults(func=cmd_generate)

@@ -43,9 +43,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _designs
-from .geometry import (ExactGram, GeometryError, Point, PointSet,
+from .geometry import (GeometryError, Point, PointSet, dot_at_apex, kernel,
                        squared_diameter)
-from .scalars import FLOAT64, RATIONAL, Backend, Dyadic, RawScalar
+from .scalars import FLOAT64, RATIONAL, Backend, Dyadic, RawScalar, as_exact
 
 __all__ = [
     "ConstructionError",
@@ -92,7 +92,6 @@ class ConstructionConfig:
     s1: Optional[RawScalar] = None
     gamma: Optional[RawScalar] = None
     apex_height: Optional[RawScalar] = None
-    seed: int = 0
     max_retries: int = 40
 
     def __post_init__(self) -> None:
@@ -234,10 +233,6 @@ def _pad(v: Sequence[int]) -> Point:
     return tuple(Fraction(x) for x in v) + (Fraction(0),)
 
 
-def _dot(q: Point, p: Point, r: Point) -> Fraction:
-    return sum((pk - qk) * (rk - qk) for qk, pk, rk in zip(q, p, r))
-
-
 def lemma_check(d: int, s) -> LemmaReport:
     """Exhaustively confirm the single-step displacement lemma.
 
@@ -277,9 +272,9 @@ def lemma_check(d: int, s) -> LemmaReport:
         moved = perturb_vertex(px, s)
         others = [p for i, p in enumerate(verts) if i != xi]
         for py, pz in itertools.combinations(others, 2):
-            at_y = _dot(py, moved, pz)
-            at_z = _dot(pz, moved, py)
-            at_moved = _dot(moved, py, pz)
+            at_y = dot_at_apex(py, moved, pz)
+            at_z = dot_at_apex(pz, moved, py)
+            at_moved = dot_at_apex(moved, py, pz)
             checks += 3
             for val in (at_y, at_z):
                 if min1 is None or val < min1:
@@ -309,10 +304,19 @@ def safe_radius(ps: PointSet, margin: RawScalar) -> RawScalar:
     then moving every point by at most the returned radius keeps all angles
     strictly acute. The bound is min(1, margin / (2 (2 Dhat + 1))) where
     Dhat is the smallest integer whose square dominates the squared diameter.
+    Values too large for a Fraction (exact ladder sets with d >= 6) take
+    the smallest power of two Dhat = 2**h instead, and the bound
+    margin * 2**-(h + 3), since 2 (2 Dhat + 1) <= 2**(h + 3).
     """
     if not margin > 0:
         raise ValueError(f"safe_radius needs a positive margin, got {margin}")
-    dhat = _ceil_sqrt_int(squared_diameter(ps))
+    sqd = squared_diameter(ps)
+    if isinstance(sqd, Dyadic) or isinstance(margin, Dyadic):
+        # 2**(2h) >= sqd because sqd < 2**(floor_log2(sqd) + 1).
+        h = max(0, (Dyadic.of(sqd).floor_log2() + 2) // 2)
+        return as_exact(min(Dyadic.of(margin) * Dyadic.pow2(-h - 3),
+                            Dyadic.pow2(0)))
+    dhat = _ceil_sqrt_int(sqd)
     if ps.backend == RATIONAL:
         return min(Fraction(1), Fraction(margin) / (2 * (2 * dhat + 1)))
     return min(1.0, float(margin) / (2 * (2 * dhat + 1)))
@@ -365,10 +369,6 @@ def _sqrt_upper_common(values: List[Fraction]) -> List[Fraction]:
         bits *= 2
 
 
-def _sqdist(p: Point, q: Point) -> RawScalar:
-    return sum((x - y) * (x - y) for x, y in zip(p, q))
-
-
 def _make_trace(dim: int, backend: Backend, order: List[int],
                 eps_list: List[RawScalar],
                 s_list: List[RawScalar]) -> ConstructionTrace:
@@ -388,7 +388,7 @@ def _nominal_trace(dim: int, backend: Backend,
     eps an upper bound on the actual displacement, s the nominal eps/(d-1)."""
     mu = dim - 1
     n = len(originals)
-    d2 = [_sqdist(originals[i], moved[i]) for i in range(n)]
+    d2 = [dot_at_apex(originals[i], moved[i], moved[i]) for i in range(n)]
     order = sorted(range(n), key=lambda i: (-d2[i], i))
     if backend == RATIONAL:
         eps_sorted = _sqrt_upper_common([d2[i] for i in order])
@@ -499,22 +499,13 @@ def _ladder(cfg: ConstructionConfig) -> Tuple[PointSet, ConstructionTrace]:
 
 def _cube_all_acute(pts: List[Point]) -> bool:
     """Early-exit scan used only inside the geometric sweep."""
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if triangle_has_nonacute(pts[i], pts[j], pts[k]):
-                    return False
-    return True
+    return not any(triangle_has_nonacute(*t)
+                   for t in itertools.combinations(pts, 3))
 
 
 def triangle_has_nonacute(a: Point, b: Point, c: Point) -> bool:
-    return (_dot_g(a, b, c) <= 0 or _dot_g(b, a, c) <= 0
-            or _dot_g(c, a, b) <= 0)
-
-
-def _dot_g(q: Point, p: Point, r: Point) -> RawScalar:
-    return sum((pk - qk) * (rk - qk) for qk, pk, rk in zip(q, p, r))
+    return (dot_at_apex(a, b, c) <= 0 or dot_at_apex(b, a, c) <= 0
+            or dot_at_apex(c, a, b) <= 0)
 
 
 def _geometric(cfg: ConstructionConfig) -> Tuple[PointSet, ConstructionTrace]:
@@ -539,7 +530,7 @@ def _geometric(cfg: ConstructionConfig) -> Tuple[PointSet, ConstructionTrace]:
             s_list.append(s)
             s = s * cfg.gamma
         if feasible and len(set(moved)) == n and (n < 3 or _cube_all_acute(moved)):
-            d2 = [_sqdist(originals[i], moved[i]) for i in range(n)]
+            d2 = [dot_at_apex(o, m, m) for o, m in zip(originals, moved)]
             if cfg.backend == RATIONAL:
                 eps = _sqrt_upper_common(d2)
             else:
@@ -581,18 +572,12 @@ def construct_full(cfg: ConstructionConfig):
     pts = cube.points
     if cfg.backend == RATIONAL:
         lim: RawScalar = 2 * (Fraction(d - 1, 4) + Fraction(c) * Fraction(c))
-        gram = ExactGram(pts)
-
-        def sqdist(i: int, j: int) -> RawScalar:
-            return gram.value(gram.sqdist(i, j))
     else:
         lim = 2.0 * ((d - 1) / 4.0 + float(c) * float(c))
-
-        def sqdist(i: int, j: int) -> RawScalar:
-            return _sqdist(pts[i], pts[j])
+    gram = kernel(cube)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            d2 = sqdist(i, j)
+            d2 = gram.value(gram.sqdist(i, j))
             if not d2 < lim:
                 raise ConstructionError(
                     f"guard failed: |x_{i} - x_{j}|^2 = {d2} is not below "

@@ -4,14 +4,16 @@ Everything here is phrased in squared quantities: the margin of a triangle is
 the smallest of its three apex inner products, so a configuration is acute
 exactly when its margin is positive and right angles show up as margin zero.
 
-Every exact scan (margins, verdicts, slabs, diameters, the construction
-guard) runs on :class:`ExactGram`: the Gram matrix is built once and each
-apex inner product is a 4-term sum of its entries.
+Every scan (margins, verdicts, slabs, diameters, the construction guard)
+runs on one kernel per backend, chosen by :func:`kernel`. Exact sets use
+:class:`ExactGram`: the Gram matrix is built once and each apex inner
+product is a 4-term sum of its entries. float64 sets use
+:class:`FloatGram`, which takes every inner product between differences
+from the apex.
 """
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -92,13 +94,7 @@ class PointSet:
 
 def dot_at_apex(q: Point, p: Point, r: Point) -> RawScalar:
     """Inner product <p - q, r - q> of the two legs meeting at apex q."""
-    total = None
-    for qk, pk, rk in zip(q, p, r):
-        term = (pk - qk) * (rk - qk)
-        total = term if total is None else total + term
-    if total is None:
-        raise GeometryError("zero-dimensional points")
-    return total
+    return sum((pk - qk) * (rk - qk) for qk, pk, rk in zip(q, p, r))
 
 
 def triangle_margin(a: Point, b: Point, c: Point) -> RawScalar:
@@ -112,7 +108,30 @@ def triangle_margin(a: Point, b: Point, c: Point) -> RawScalar:
     return min(dot_at_apex(a, b, c), dot_at_apex(b, a, c), dot_at_apex(c, a, b))
 
 
-class ExactGram:
+class _Kernel:
+    """What the exact and the float kernel share.
+
+    A kernel answers every scan in *raw* units that order like the true
+    values; :meth:`value` converts one back.
+    """
+
+    n: int
+
+    def min_slab(self):
+        """Smallest raw slab depth min(t, |p_y - p_x|^2 - t) over pairs
+        x < y and third points z, t = <p_z - p_x, p_y - p_x>, with the
+        lex-first ``(x, y, z)`` attaining it.
+        """
+        # t is the apex dot at x (legs y, z) and |p_y - p_x|^2 - t the one
+        # at y (legs x, z), so the depths are exactly the apex dots and the
+        # minimal ones come from the minimal dots (q; i, j): with u the leg
+        # playing y, (q, u, w) if u > q, else (u, q, w).
+        raw, args = self.min_dots(range(self.n))
+        return raw, min((q, u, w) if u > q else (u, q, w)
+                        for q, i, j in args for u, w in ((i, j), (j, i)))
+
+
+class ExactGram(_Kernel):
     """Gram matrix of an exact point set, in units that order exactly.
 
     A set of Fractions is scaled by the lcm D of its denominators, so every
@@ -139,7 +158,7 @@ class ExactGram:
                     for p in points]
             self._d2 = den * den
             self._sign3 = _int_sign3
-        n = len(rows)
+        n = self.n = len(rows)
         g = [[0] * n for _ in range(n)]
         for i in range(n):
             ri = rows[i]
@@ -164,7 +183,7 @@ class ExactGram:
         return self.g[i][j] - gq[i] - gq[j] + gq[q]
 
     def max_sqdist(self):
-        n = len(self.g)
+        n = self.n
         return max((self.sqdist(i, j) for i in range(n)
                     for j in range(i + 1, n)), default=0)
 
@@ -172,7 +191,7 @@ class ExactGram:
         """Smallest raw apex dot over ``apexes`` and every ``(q, i, j)``
         (i < j) attaining it, in lex order; ``(None, [])`` if empty."""
         g = self.g
-        n = len(g)
+        n = self.n
         sign3 = self._sign3
         best, args = None, []
         for q in apexes:
@@ -192,88 +211,87 @@ class ExactGram:
                         args.append((q, i, j))
         return best, args
 
-    def min_slab(self):
-        """Smallest raw slab depth min(t, |p_y - p_x|^2 - t) over pairs
-        x < y and third points z, t = <p_z - p_x, p_y - p_x>, with the
-        lex-first ``(x, y, z)`` attaining it.
-        """
-        # t is the apex dot at x (legs y, z) and |p_y - p_x|^2 - t the one
-        # at y (legs x, z), so the depths are exactly the apex dots and the
-        # minimal ones come from the minimal dots (q; i, j): with u the leg
-        # playing y, (q, u, w) if u > q, else (u, q, w).
-        raw, args = self.min_dots(range(len(self.g)))
-        return raw, min((q, u, w) if u > q else (u, q, w)
-                        for q, i, j in args for u, w in ((i, j), (j, i)))
-
 
 def _int_sign3(a: int, b: int, c: int) -> int:
     x = a - b - c
     return (x > 0) - (x < 0)
 
 
+class FloatGram(_Kernel):
+    """The float64 kernel, with the methods of :class:`ExactGram`.
+
+    Every inner product is taken between differences from the apex,
+    <p_i - p_q, p_j - p_q>, never expanded around the origin: the expanded
+    form G_ij - G_iq - G_jq + G_qq loses every digit to cancellation once
+    the points sit far from the origin compared with the set's diameter.
+    Raw values are the float values themselves.
+    """
+
+    def __init__(self, points: Sequence[Point]):
+        self.points = points
+        self.arr = np.asarray(points, dtype=np.float64)
+        self.n = len(points)
+
+    def value(self, raw) -> RawScalar:
+        return raw
+
+    def sqdist(self, i: int, j: int) -> float:
+        return self.dot(i, j, j)
+
+    def dot(self, q: int, i: int, j: int) -> float:
+        pts = self.points
+        return dot_at_apex(pts[q], pts[i], pts[j])
+
+    def max_sqdist(self) -> float:
+        arr = self.arr
+        return max((float(((arr[i + 1:] - arr[i]) ** 2).sum(axis=1).max())
+                    for i in range(self.n - 1)), default=0.0)
+
+    def min_dots(self, apexes: Sequence[int]):
+        """As :meth:`ExactGram.min_dots`, one apex at a time in numpy."""
+        arr = self.arr
+        iu, ju = np.triu_indices(self.n, k=1)
+        best, args = None, []
+        for q in apexes:
+            diffs = arr - arr[q]
+            g = diffs @ diffs.T
+            g[q, :] = g[:, q] = np.inf
+            vals = g[iu, ju]
+            m = float(vals.min())
+            if best is None or m < best:
+                best, args = m, []
+            if m == best:
+                args += [(q, int(iu[k]), int(ju[k]))
+                         for k in np.flatnonzero(vals == m)]
+        return best, args
+
+
+def kernel(ps: PointSet):
+    """The scan kernel of a point set's backend."""
+    if ps.backend == FLOAT64:
+        return FloatGram(ps.points)
+    return ExactGram(ps.points)
+
+
 def squared_diameter(ps: PointSet) -> RawScalar:
     """Largest squared distance between two points of the set."""
-    n = len(ps)
-    if ps.backend == FLOAT64:
-        if n < 2:
-            return 0.0
-        arr = ps.as_array()
-        sq = ((arr[:, None, :] - arr[None, :, :]) ** 2).sum(axis=2)
-        return float(sq.max())
-    gram = ExactGram(ps.points)
+    gram = kernel(ps)
     return gram.value(gram.max_sqdist())
-
-
-def _thread_count(threads: Optional[int]) -> int:
-    if threads is not None:
-        n = int(threads)
-    else:
-        raw = os.environ.get("ACUTA_THREADS", "")
-        try:
-            n = int(raw) if raw else 1
-        except ValueError:
-            n = 1
-    return max(1, n)
-
-
-def _apex_scan_float(arr: np.ndarray, q: int):
-    n = arr.shape[0]
-    diffs = arr - arr[q]
-    gram = diffs @ diffs.T
-    others = np.array([i for i in range(n) if i != q])
-    sub = gram[np.ix_(others, others)]
-    iu, ju = np.triu_indices(len(others), k=1)
-    vals = sub[iu, ju]
-    k = int(np.argmin(vals))  # argmin returns the first minimum: lex order
-    return float(vals[k]), (q, int(others[iu[k]]), int(others[ju[k]]))
 
 
 def set_margin(ps: PointSet,
                threads: Optional[int] = None) -> Tuple[RawScalar, TripleWitness]:
     """Margin of a whole point set: the worst angle over all triples.
 
-    Returns the minimum apex inner product together with a witness. The
-    witness is deterministic regardless of how the scan is chunked: among all
-    triples achieving the minimum, the lexicographically smallest
-    ``(apex, leg1, leg2)`` with ``leg1 < leg2`` is reported.
+    Returns the minimum apex inner product together with a witness: among
+    all triples achieving the minimum, the lexicographically smallest
+    ``(apex, leg1, leg2)`` with ``leg1 < leg2``. ``threads`` is accepted
+    and ignored; the scan runs in one thread.
     """
     n = len(ps)
     if n < 3:
         raise GeometryError(f"need at least 3 points, got {n}")
-    nthreads = _thread_count(threads)
-    # Partition apexes into strided chunks; each chunk reduces to its own
-    # (margin, witness) and chunk results merge with the same deterministic
-    # rule, so the outcome does not depend on the chunk count.
-    apexes = list(range(n))
-    chunks = [c for c in (apexes[k::nthreads] for k in range(nthreads)) if c]
-    if ps.backend == FLOAT64:
-        arr = ps.as_array()
-        candidates = [min(_apex_scan_float(arr, q) for q in chunk)
-                      for chunk in chunks]
-        margin, (q, i, j) = min(candidates)
-    else:
-        gram = ExactGram(ps.points)
-        raw, (q, i, j) = min((raw, args[0]) for raw, args in
-                             map(gram.min_dots, chunks))
-        margin = gram.value(raw)
-    return margin, TripleWitness(q, i, j, margin)
+    gram = kernel(ps)
+    raw, args = gram.min_dots(range(n))
+    margin = gram.value(raw)
+    return margin, TripleWitness(*args[0], margin)

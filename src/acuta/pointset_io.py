@@ -11,8 +11,12 @@ Serialization is canonical — keys sorted, no whitespace — so equal sets
 produce byte-identical files. Rational coordinates are written as "p/q"
 strings in lowest terms, which holds every exact value up to
 ``FRACTION_BITS`` bits; a larger :class:`Dyadic` (exact sets with d >= 6)
-cannot be written and raises ValueError. Float coordinates rely on JSON's
-shortest round-tripping float encoding. CSV output is supported for the float
+cannot be written and raises ValueError. The reader refuses, with
+ParseError and before parsing it, any coordinate longer than a "p/q" of
+``_MAX_COORD_BITS`` bits, and lifts CPython's int<->str digit guard only
+while it parses; the writer lifts it for good, as far as the values it
+writes need. Float coordinates rely on JSON's shortest round-tripping float
+encoding. CSV output is supported for the float
 backend only, with header ``x0,...,x{d-1}`` and no trace.
 """
 from __future__ import annotations
@@ -21,14 +25,14 @@ import csv
 import io
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
 from .construct import ConstructionTrace, TraceStep
 from .geometry import GeometryError, PointSet
-from .scalars import (FLOAT64, FRACTION_BITS, RATIONAL, Dyadic, RawScalar,
-                      ensure_digits, int_to_str)
+from .scalars import FLOAT64, FRACTION_BITS, RATIONAL, Dyadic, RawScalar
 
 __all__ = ["ParseError", "render_coord", "point_set_to_obj",
            "save_point_set", "load_point_set", "dumps_canonical"]
@@ -36,6 +40,26 @@ __all__ = ["ParseError", "render_coord", "point_set_to_obj",
 
 class ParseError(ValueError):
     """The file is not a well-formed point-set file."""
+
+
+# The reader refuses rational coordinates longer than a "p/q" of this many
+# bits can be. Values this package writes are products and sums of
+# coordinates of up to FRACTION_BITS bits: the d = 5 margin has 80 183 bits
+# and a d = 5 point moved within its safe radius 96 254. Each part of "p/q"
+# has at most bits * log10(2) + 1 digits; two more characters cover a sign
+# and the slash.
+_MAX_COORD_BITS = 4 * FRACTION_BITS
+_MAX_DIGITS = int(_MAX_COORD_BITS * math.log10(2)) + 2
+_MAX_COORD_CHARS = _MAX_DIGITS + 2
+
+
+def _lift_digit_guard(digits: int) -> int:
+    """Raise CPython's int<->str digit guard to ``digits`` unless it is
+    higher or off (0); return its old value."""
+    old = sys.get_int_max_str_digits()
+    if old and old < digits:
+        sys.set_int_max_str_digits(digits)
+    return old
 
 
 def render_coord(x: RawScalar) -> Union[str, float]:
@@ -50,7 +74,14 @@ def render_coord(x: RawScalar) -> Union[str, float]:
                 "saved")
         x = x.to_fraction()
     if isinstance(x, Fraction):
-        return f"{int_to_str(x.numerator)}/{int_to_str(x.denominator)}"
+        p, q = x.numerator, x.denominator
+        # Writing the package's own values lifts the guard for the rest of
+        # the process, as far as the value needs (log10(2) < 1/3): callers
+        # that read the text back with Fraction in the same process, such
+        # as bench/workloads.py on `acuta verify` reports, rely on it.
+        # Reading untrusted text lifts it only for the duration of a load.
+        _lift_digit_guard(max(p.bit_length(), q.bit_length()) // 3 + 2)
+        return f"{p}/{q}"
     return float(x)
 
 
@@ -59,14 +90,20 @@ def _parse_coord(raw, backend) -> RawScalar:
         if not isinstance(raw, str):
             raise ParseError(
                 f"rational coordinates must be 'p/q' strings, got {raw!r}")
-        ensure_digits(len(raw))
+        if len(raw) > _MAX_COORD_CHARS:
+            raise ParseError(
+                f"rational coordinate of {len(raw):,} characters exceeds "
+                f"the {_MAX_COORD_CHARS:,} of a {_MAX_COORD_BITS:,}-bit 'p/q'")
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational coordinate {raw!r}") from exc
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ParseError(f"float coordinates must be numbers, got {raw!r}")
-    val = float(raw)
+    try:
+        val = float(raw)
+    except OverflowError as exc:
+        raise ParseError("an integer coordinate overflows float64") from exc
     if not math.isfinite(val):
         raise ParseError(f"non-finite coordinate {val!r}")
     return val
@@ -151,7 +188,7 @@ def _load_json(text: str) -> Tuple[PointSet, Optional[ConstructionTrace]]:
 
     try:
         obj = json.loads(text, parse_constant=_bad_const)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # JSONDecodeError, or an int too long
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("top level must be an object")
@@ -222,11 +259,11 @@ def load_point_set(path: Union[str, Path]) -> Tuple[PointSet, Optional[Construct
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     suffix = path.suffix.lower()
-    if suffix == ".csv":
+    if suffix == ".csv" or (suffix != ".json"
+                            and not text.lstrip().startswith("{")):
         return _load_csv(text)
-    if suffix == ".json":
+    old = _lift_digit_guard(_MAX_DIGITS)
+    try:
         return _load_json(text)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _load_json(text)
-    return _load_csv(text)
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -1,4 +1,4 @@
-"""Backend-tagged scalar arithmetic for geometric predicates.
+"""Exact scalars and the float tolerance for geometric predicates.
 
 Two backends are supported: exact rationals (``"rational"``) and IEEE-754
 doubles (``"float64"``). Exact values are :class:`fractions.Fraction`, or
@@ -298,116 +298,6 @@ def _check_backend(backend: str) -> Backend:
     if backend not in (RATIONAL, FLOAT64):
         raise ScalarError(f"unknown backend: {backend!r}")
     return backend  # type: ignore[return-value]
-
-
-def ensure_digits(n_digits: int) -> None:
-    """Raise the interpreter's int<->str conversion guard if needed.
-
-    Exact certificates in high dimensions involve rationals with tens of
-    thousands of digits; CPython's default 4300-digit guard (a protection
-    against quadratic-cost parsing of untrusted input) would otherwise make
-    them unprintable and unparseable. The guard is only ever raised, and
-    only as far as the value at hand requires.
-    """
-    limit = sys.get_int_max_str_digits()
-    if limit and n_digits + 10 > limit:
-        sys.set_int_max_str_digits(n_digits + 10)
-
-
-def int_to_str(n: int) -> str:
-    ensure_digits(1 + n.bit_length() // 3)
-    return str(n)
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """A number tagged with the arithmetic backend it lives in.
-
-    Rational values are kept in lowest terms with a positive denominator
-    (guaranteed by :class:`fractions.Fraction`). Float values must be finite;
-    NaN and infinities are rejected at construction time.
-    """
-
-    value: RawScalar
-    backend: Backend
-
-    def __post_init__(self) -> None:
-        _check_backend(self.backend)
-        if self.backend == RATIONAL:
-            if not isinstance(self.value, Fraction):
-                object.__setattr__(self, "value", Fraction(self.value))
-        else:
-            v = float(self.value)
-            if not math.isfinite(v):
-                raise ScalarError(f"float64 scalar must be finite, got {v!r}")
-            object.__setattr__(self, "value", v)
-
-    def _join(self, other: "Scalar") -> None:
-        if not isinstance(other, Scalar):
-            raise ScalarError(f"expected Scalar, got {type(other).__name__}")
-        if other.backend != self.backend:
-            raise ScalarError(
-                f"backend mismatch: {self.backend} vs {other.backend}")
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        self._join(other)
-        return Scalar(self.value + other.value, self.backend)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        self._join(other)
-        return Scalar(self.value - other.value, self.backend)
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        self._join(other)
-        return Scalar(self.value * other.value, self.backend)
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(-self.value, self.backend)
-
-
-def scalar_parse(text: str, backend: Backend) -> Scalar:
-    """Parse ``"p/q"`` or decimal notation into a backend scalar.
-
-    Rational parsing is lossless: ``"2/4"`` normalizes to 1/2 and decimal
-    strings convert exactly (``"0.1"`` becomes 1/10, not the nearest double).
-    """
-    _check_backend(backend)
-    text = text.strip()
-    if not text:
-        raise ScalarError("empty scalar text")
-    ensure_digits(len(text))
-    try:
-        as_fraction = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ScalarError(f"unparseable scalar: {text!r}") from exc
-    if backend == RATIONAL:
-        return Scalar(as_fraction, RATIONAL)
-    try:
-        return Scalar(float(as_fraction), FLOAT64)
-    except OverflowError as exc:
-        raise ScalarError(f"value {text!r} overflows float64") from exc
-
-
-def scalar_render(s: Scalar) -> str:
-    """Render a scalar to its canonical text form.
-
-    Rationals render as ``"p/q"`` with q > 0 (always including the slash);
-    floats render with :func:`repr`, the shortest round-tripping decimal.
-    """
-    if s.backend == RATIONAL:
-        v = s.value
-        return f"{int_to_str(v.numerator)}/{int_to_str(v.denominator)}"
-    return repr(s.value)
-
-
-def scalar_cmp(a: Scalar, b: Scalar) -> int:
-    """Three-way compare two scalars of the same backend (-1, 0, or 1)."""
-    a._join(b)
-    if a.value < b.value:
-        return -1
-    if a.value > b.value:
-        return 1
-    return 0
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Certification of point sets, independent of how they were built.
 
 The checks take nothing from the construction: they see only the points.
-Exact sets run on one kernel, :class:`acuta.geometry.ExactGram` (Gram
-matrix built once, each apex dot a 4-term sum of its entries), which
-``set_margin`` shares; the independent check of that kernel is the naive
+Every scan runs on the kernel of the set's backend,
+:func:`acuta.geometry.kernel` (:class:`~acuta.geometry.ExactGram` or
+:class:`~acuta.geometry.FloatGram`), which ``set_margin`` shares; this
+module only assembles reports and runs the early-exit verdict sweep over
+the kernel's apex dots. The independent check of the kernels is the naive
 triple loop ``naive_margin`` in the test suite, which acceptance criterion 8
-compares against bit for bit.
+compares against bit for bit. ``threads`` is accepted and ignored.
 
 Checks come in three strengths:
 
@@ -21,14 +23,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-import numpy as np
-
-from .geometry import ExactGram, PointSet, TripleWitness
+from .geometry import PointSet, TripleWitness, kernel
 from .scalars import RATIONAL, Backend, RawScalar, Tolerance
 
 __all__ = [
@@ -58,109 +57,41 @@ class VerificationReport:
     elapsed: float
 
 
-def _threads(threads: Optional[int]) -> int:
-    if threads is None:
-        raw = os.environ.get("ACUTA_THREADS", "")
-        try:
-            threads = int(raw) if raw else 1
-        except ValueError:
-            threads = 1
-    return max(1, int(threads))
-
-
-def _sqdiam(ps: PointSet, gram: Optional[ExactGram]) -> RawScalar:
-    if gram is not None:
-        return gram.value(gram.max_sqdist())
-    n = len(ps)
-    arr = np.asarray(ps.points, dtype=np.float64)
-    g = arr @ arr.T
-    sq = np.diag(g)
-    dist = sq[:, None] + sq[None, :] - 2.0 * g
-    return float(dist.max()) if n > 1 else 0.0
-
-
 def _setup(ps: PointSet, tolerance: Optional[Tolerance]):
-    """Gram kernel (exact sets only), squared diameter and strict margin.
+    """Scan kernel, squared diameter and strict margin in raw units.
 
     Exact tolerances are pinned to zero and raw exact values carry the true
-    sign, so exact predicates compare raw values against the int 0.
+    sign, so exact predicates compare raw values against the int 0; raw
+    float values are the values themselves.
     """
     if len(ps) < 3:
         raise ValueError("verification needs at least 3 points")
-    gram = ExactGram(ps.points) if ps.backend == RATIONAL else None
-    sqd = _sqdiam(ps, gram)
+    gram = kernel(ps)
+    sqd = gram.value(gram.max_sqdist())
+    exact = ps.backend == RATIONAL
     tol = tolerance if tolerance is not None else (
-        Tolerance.exact() if gram is not None else Tolerance.scaled(float(sqd)))
+        Tolerance.exact() if exact else Tolerance.scaled(float(sqd)))
     if tol.backend != ps.backend:
         raise ValueError(
             f"tolerance backend {tol.backend} does not match point set "
             f"backend {ps.backend}")
-    return gram, sqd, (0 if gram is not None else tol.strict_margin)
+    return gram, sqd, (0 if exact else tol.strict_margin)
 
 
-def _margin_scan_float(arr: np.ndarray,
-                       apexes: List[int]) -> Optional[Tuple[float, Tuple[int, int, int]]]:
-    n = arr.shape[0]
-    g = arr @ arr.T
-    best = None
-    for q in apexes:
-        # dot(q; i, j) = G[i,j] - G[i,q] - G[j,q] + G[q,q]
-        d = g - g[:, q][:, None] - g[q, :][None, :] + g[q, q]
-        others = np.array([i for i in range(n) if i != q])
-        sub = d[np.ix_(others, others)]
-        iu, ju = np.triu_indices(len(others), k=1)
-        vals = sub[iu, ju]
-        k = int(np.argmin(vals))
-        key = (float(vals[k]), (q, int(others[iu[k]]), int(others[ju[k]])))
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def _full_margin(ps: PointSet, gram: Optional[ExactGram],
-                 threads: Optional[int]):
-    """Minimum apex inner product over all angles, with lex-min witness.
-
-    The apex list is split into chunks, each chunk reduced independently and
-    the chunk results merged by the same (value, indices) order, so the
-    result is identical for every thread count.
-    """
-    n = len(ps)
-    nt = _threads(threads)
-    chunks = [c for c in (list(range(n))[k::nt] for k in range(nt)) if c]
-    if gram is None:
-        arr = np.asarray(ps.points, dtype=np.float64)
-        margin, (q, i, j) = min(_margin_scan_float(arr, c) for c in chunks)
-    else:
-        raw, (q, i, j) = min((raw, args[0]) for raw, args in
-                             map(gram.min_dots, chunks))
-        margin = gram.value(raw)
-    checked = n * (n - 1) * (n - 2) // 6
-    return margin, (q, i, j), checked
-
-
-def _verdict_scan(ps: PointSet, gram: Optional[ExactGram],
-                  fails) -> Tuple[bool, Optional[TripleWitness], int]:
+def _verdict_scan(gram, fails) -> Tuple[bool, Optional[TripleWitness], int]:
     """Single-threaded i<j<k sweep, stopping at the first failing angle."""
-    pts = ps.points
     checked = 0
-    for i, j, k in itertools.combinations(range(len(pts)), 3):
+    for i, j, k in itertools.combinations(range(gram.n), 3):
         checked += 1
         for (q, a, b) in ((i, j, k), (j, i, k), (k, i, j)):
-            if gram is None:
-                dot = sum((x - z) * (y - z)
-                          for x, y, z in zip(pts[a], pts[b], pts[q]))
-            else:
-                dot = gram.dot(q, a, b)
+            dot = gram.dot(q, a, b)
             if fails(dot):
-                value = dot if gram is None else gram.value(dot)
-                return False, TripleWitness(q, a, b, value), checked
+                return False, TripleWitness(q, a, b, gram.value(dot)), checked
     return True, None, checked
 
 
 def _angle_check(ps: PointSet, check: str, tolerance: Optional[Tolerance],
-                 mode: str, threads: Optional[int],
-                 fail_rule) -> VerificationReport:
+                 mode: str, fail_rule) -> VerificationReport:
     if mode not in ("margin", "verdict"):
         raise ValueError(f"unknown mode: {mode!r}")
     start = time.perf_counter()
@@ -168,15 +99,16 @@ def _angle_check(ps: PointSet, check: str, tolerance: Optional[Tolerance],
     fails = fail_rule(strict)
 
     if mode == "margin":
-        margin, (q, i, j), checked = _full_margin(ps, gram, threads)
-        verdict = not fails(margin)
-        witness = TripleWitness(q, i, j, margin)
+        n = len(ps)
+        raw, args = gram.min_dots(range(n))
+        margin = gram.value(raw)
         return VerificationReport(
-            check=check, verdict=verdict, margin=margin, witness=witness,
-            triples_checked=checked, squared_diameter=sqd,
+            check=check, verdict=not fails(raw), margin=margin,
+            witness=TripleWitness(*args[0], margin),
+            triples_checked=n * (n - 1) * (n - 2) // 6, squared_diameter=sqd,
             backend=ps.backend, elapsed=time.perf_counter() - start)
 
-    verdict, witness, checked = _verdict_scan(ps, gram, fails)
+    verdict, witness, checked = _verdict_scan(gram, fails)
     return VerificationReport(
         check=check, verdict=verdict,
         margin=witness.dot_value if witness else None, witness=witness,
@@ -193,7 +125,7 @@ def verify_acute(ps: PointSet, tolerance: Optional[Tolerance] = None,
     the exact minimum with a deterministic witness; ``"verdict"`` mode may
     stop at the first violation (a pass still scans everything).
     """
-    return _angle_check(ps, "acute", tolerance, mode, threads,
+    return _angle_check(ps, "acute", tolerance, mode,
                         lambda strict: (lambda dot: not dot > strict))
 
 
@@ -205,7 +137,7 @@ def verify_nonobtuse(ps: PointSet, tolerance: Optional[Tolerance] = None,
     Exact backend: every inner product must be >= 0. Float backend: must
     not drop below minus the strict margin.
     """
-    return _angle_check(ps, "nonobtuse", tolerance, mode, threads,
+    return _angle_check(ps, "nonobtuse", tolerance, mode,
                         lambda strict: (lambda dot: dot < -strict))
 
 
@@ -225,30 +157,13 @@ def verify_antipodal_witness(ps: PointSet,
     gram, sqd, strict = _setup(ps, tolerance)
 
     n = len(ps)
-    checked = n * (n - 1) * (n - 2) // 2
-    if gram is None:
-        arr = np.asarray(ps.points, dtype=np.float64)
-        best = None
-        for x in range(n):
-            for y in range(x + 1, n):
-                axis = arr[y] - arr[x]
-                length = float(axis @ axis)
-                t = (arr - arr[x]) @ axis
-                for z in range(n):
-                    if z == x or z == y:
-                        continue
-                    val = min(float(t[z]), length - float(t[z]))
-                    key = (val, (x, y, z))
-                    if best is None or key < best:
-                        best = key
-        margin, (x, y, z) = best
-    else:
-        raw, (x, y, z) = gram.min_slab()
-        margin = gram.value(raw)
+    raw, (x, y, z) = gram.min_slab()
+    margin = gram.value(raw)
     verdict = bool(margin > strict)
     return VerificationReport(
         check="antipodal", verdict=verdict, margin=margin,
-        witness=TripleWitness(x, y, z, margin), triples_checked=checked,
+        witness=TripleWitness(x, y, z, margin),
+        triples_checked=n * (n - 1) * (n - 2) // 2,
         squared_diameter=sqd, backend=ps.backend,
         elapsed=time.perf_counter() - start)
 

@@ -116,6 +116,18 @@ class TestSafeRadius:
         with pytest.raises(ValueError):
             safe_radius(ps, F(0))
 
+    def test_dyadic_ladder_set_d6(self):
+        # Squared diameter and margin of the d = 6 ladder are Dyadic values
+        # no Fraction can hold; the radius must still satisfy the bound
+        # 2 r (2 sqrt(D^2) + 1) <= margin, checked here exactly as
+        # slack = margin - 2r >= 0 and slack^2 >= 16 r^2 D^2.
+        ps, _, report = construct_full(ConstructionConfig(dim=6))
+        r = safe_radius(ps, report.margin)
+        sqd = squared_diameter(ps)
+        assert 0 < r <= 1
+        slack = report.margin - 2 * r
+        assert slack >= 0 and slack * slack >= 16 * r * r * sqd
+
 
 class TestApex:
     def test_frozen_d3(self):

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -67,6 +68,24 @@ class TestJsonRoundTrip:
         assert loaded.points == ps.points
 
 
+class TestDigitGuard:
+    def test_d5_load_leaves_the_guard_alone(self, tmp_path):
+        # The d = 5 file holds integers of about 18 000 digits, past
+        # CPython's default int<->str guard of 4300; reading it may lift the
+        # guard only while it parses.
+        ps, trace, _ = construct_full(ConstructionConfig(dim=5))
+        p = tmp_path / "d5.json"
+        save_point_set(p, ps, trace=trace)
+        before = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            loaded, loaded_trace = load_point_set(p)
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert loaded.points == ps.points and loaded_trace == trace
+
+
 class TestCsv:
     def test_float_round_trip(self, tmp_path):
         ps, _, _ = construct_full(ConstructionConfig(dim=3,
@@ -128,6 +147,24 @@ class TestParseErrors:
     def test_invalid_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
+        with pytest.raises(ParseError):
+            load_point_set(p)
+
+    def test_huge_coordinate_refused_at_once(self, tmp_path):
+        rows = [["1" * 10 ** 6, "0"], ["0", "1"], ["1", "0"]]
+        path = write_json(tmp_path / "huge.json", square_obj(points=rows))
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError):
+            load_point_set(path)
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("digits", [5000, 10 ** 5])
+    def test_huge_json_integer_is_a_parse_error(self, tmp_path, digits):
+        # 5000 digits parse as an int but overflow float64; 10**5 digits
+        # exceed the digit guard itself.
+        p = tmp_path / "huge.json"
+        p.write_text('{"backend":"float64","dim":1,"points":[['
+                     + "7" * digits + ']]}')
         with pytest.raises(ParseError):
             load_point_set(p)
 

@@ -1,78 +1,11 @@
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acuta import (Dyadic, Scalar, ScalarError, Tolerance, scalar_cmp,
-                   scalar_parse, scalar_render)
+from acuta import Dyadic, ScalarError, Tolerance
 from acuta.scalars import as_exact
-
-
-class TestParse:
-    def test_fraction_normalizes_to_lowest_terms(self):
-        s = scalar_parse("2/4", "rational")
-        assert s.value == Fraction(1, 2)
-        assert scalar_render(s) == "1/2"
-
-    def test_negative_numerator_normalizes(self):
-        s = scalar_parse("-3/6", "rational")
-        assert s.value == Fraction(-1, 2)
-        assert scalar_render(s) == "-1/2"
-
-    def test_decimal_is_lossless_in_rational_mode(self):
-        # 0.1 the decimal, not 0.1 the double
-        s = scalar_parse("0.1", "rational")
-        assert s.value == Fraction(1, 10)
-
-    def test_integer_renders_with_explicit_denominator(self):
-        s = scalar_parse("7", "rational")
-        assert scalar_render(s) == "7/1"
-
-    def test_float_mode_parses_fraction_notation(self):
-        s = scalar_parse("1/4", "float64")
-        assert s.value == 0.25
-        assert s.backend == "float64"
-
-    @pytest.mark.parametrize("bad", ["", "abc", "1/0", "--3", "3/-6", "1/2/3"])
-    def test_garbage_rejected(self, bad):
-        with pytest.raises(ScalarError):
-            scalar_parse(bad, "rational")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ScalarError):
-            scalar_parse("1", "decimal128")
-
-    def test_huge_value_overflows_float64(self):
-        with pytest.raises(ScalarError):
-            scalar_parse("1e400", "float64")
-        # ...but is a perfectly fine rational
-        assert scalar_parse("1e400", "rational").value == 10 ** 400
-
-
-class TestScalar:
-    def test_nan_rejected(self):
-        with pytest.raises(ScalarError):
-            Scalar(float("nan"), "float64")
-
-    def test_infinity_rejected(self):
-        with pytest.raises(ScalarError):
-            Scalar(math.inf, "float64")
-
-    def test_mixed_backend_arithmetic_rejected(self):
-        a = Scalar(Fraction(1, 2), "rational")
-        b = Scalar(0.5, "float64")
-        with pytest.raises(ScalarError):
-            _ = a + b
-        with pytest.raises(ScalarError):
-            scalar_cmp(a, b)
-
-    def test_cmp(self):
-        mk = lambda v: Scalar(Fraction(v), "rational")
-        assert scalar_cmp(mk(1), mk(2)) == -1
-        assert scalar_cmp(mk(2), mk(1)) == 1
-        assert scalar_cmp(mk(2), mk(2)) == 0
 
 
 class TestTolerance:
@@ -92,51 +25,6 @@ class TestTolerance:
         big = Tolerance.scaled(100.0)
         assert small.strict_margin == pytest.approx(2e-9)
         assert big.strict_margin > small.strict_margin
-
-
-fractions_st = st.fractions(
-    min_value=-1000, max_value=1000, max_denominator=997)
-
-
-@st.composite
-def rational_scalars(draw):
-    return Scalar(draw(fractions_st), "rational")
-
-
-finite_floats = st.floats(allow_nan=False, allow_infinity=False,
-                          allow_subnormal=False, width=64)
-
-
-class TestProperties:
-    @given(rational_scalars(), rational_scalars(), rational_scalars())
-    @settings(max_examples=60)
-    def test_ring_laws(self, a, b, c):
-        assert ((a + b) + c).value == (a + (b + c)).value
-        assert (a + b).value == (b + a).value
-        assert (a * b).value == (b * a).value
-        assert ((a * b) * c).value == (a * (b * c)).value
-        assert (a * (b + c)).value == (a * b + a * c).value
-        assert (a + (-a)).value == 0
-
-    @given(fractions_st)
-    @settings(max_examples=60)
-    def test_parse_render_round_trip_rational(self, q):
-        s = Scalar(q, "rational")
-        assert scalar_parse(scalar_render(s), "rational").value == q
-
-    @given(finite_floats)
-    @settings(max_examples=60)
-    def test_parse_render_round_trip_float(self, x):
-        s = Scalar(x, "float64")
-        back = scalar_parse(scalar_render(s), "float64")
-        assert back.value == x or (x == 0.0 and back.value == 0.0)
-
-    @given(rational_scalars(), rational_scalars())
-    @settings(max_examples=60)
-    def test_cmp_agrees_with_difference_sign(self, a, b):
-        diff = (a - b).value
-        want = -1 if diff < 0 else (1 if diff > 0 else 0)
-        assert scalar_cmp(a, b) == want
 
 
 dyadic_terms = st.lists(

@@ -1,9 +1,11 @@
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
-from acuta import (ConstructionConfig, PointSet, Tolerance, construct_full,
+from acuta import (ConstructionConfig, PointSet, Tolerance, apex_point,
+                   construct_acute_cube, construct_full,
                    ef_bound, fibonacci, hard_cap, hypercube_vertices,
                    legacy_bounds, set_margin, target_size,
                    verify_acute, verify_antipodal_witness,
@@ -171,13 +173,57 @@ class TestThreadDeterminism:
 class TestVerifyAgainstGeometry:
     @pytest.mark.parametrize("seed", range(6))
     def test_margin_agrees_with_construction_side_scan(self, seed):
-        # geometry.set_margin and verify_acute are written independently;
-        # on exact inputs they must agree to the bit.
+        # geometry.set_margin and verify_acute share one kernel, so this
+        # checks only that both read it alike; the independent check of that
+        # kernel is the naive triple loop conftest.naive_margin (criterion 8).
+        # On exact inputs the two must agree to the bit.
         ps = random_rational_set(seed + 100, n=15, dim=3)
         m, w = set_margin(ps)
         report = verify_acute(ps, mode="margin")
         assert report.margin == m
         assert report.witness == w
+
+
+class TestTranslation:
+    """float64 scans take every dot between differences from the apex, so a
+    set moved far from the origin keeps its verdicts and, up to rounding,
+    its margin. Expanding the dots around the origin loses both."""
+
+    @staticmethod
+    def moved(points, offset):
+        return PointSet(dim=len(points[0]), backend="float64", points=tuple(
+            tuple(x + offset for x in p) for p in points))
+
+    def test_translated_obtuse_triangle_fails_in_every_mode(self):
+        # obtuse at the first corner, and still so in the moved coordinates
+        ps = self.moved(((0.0, 0.0), (1.0, 0.0), (-0.018110725330225206, 1.0)),
+                        17401278.46708691)
+        assert not verify_acute(ps, mode="margin").verdict
+        assert not verify_acute(ps, mode="verdict").verdict
+        assert not verify_antipodal_witness(ps).verdict
+
+    def test_translated_d4_design_keeps_its_margin(self):
+        cube, _ = construct_acute_cube(
+            ConstructionConfig(dim=4, backend="float64"))
+        pts = cube.points + (apex_point(4, backend="float64"),)
+        ps = self.moved(pts, 1e7)
+        tol = 1e-9 * (1 + verify_acute(self.moved(pts, 0.0)).squared_diameter)
+        margin = verify_acute(ps)
+        assert margin.verdict
+        assert abs(margin.margin - 0.0200042724609375) <= tol
+        assert verify_acute(ps, mode="verdict").verdict
+        slab = verify_antipodal_witness(ps)
+        assert slab.verdict
+        assert abs(slab.margin - 0.0200042724609375) <= tol
+
+    def test_float_slab_margin_is_the_acute_margin(self):
+        # Each slab depth is an apex dot, in floats as in exact arithmetic.
+        for seed in range(3):
+            rng = random.Random(seed)
+            ps = PointSet(dim=4, backend="float64", points=tuple(
+                tuple(rng.random() for _ in range(4)) for _ in range(20)))
+            assert (verify_antipodal_witness(ps).margin
+                    == verify_acute(ps).margin)
 
 
 class TestBoundsTables:
