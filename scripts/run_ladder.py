@@ -11,10 +11,10 @@ prints the scale of each level plus the certified margin. Measured on a
 2-core machine:
 
     d  points  deepest scale      margin             build+certify
-    5      17  2^-12028           ~2^-16031           0.4 s
-    6      33  2^-78918988        ~2^-105225310       0.5 s
-    7      65  2^-(4.01e15)       ~2^-(5.35e15)       2.5 s
-    8     129  2^-(7.43e30)       ~2^-(9.92e30)      14 s
+    5      17  2^-12028           ~2^-16031           0.1 s
+    6      33  2^-78918988        ~2^-105225310       0.1 s
+    7      65  2^-(4.01e15)       ~2^-(5.35e15)       0.5 s
+    8     129  2^-(7.43e30)       ~2^-(9.92e30)       2.3 s
 
 From d = 6 on the coordinates are sparse dyadic sums (a dense Fraction of
 2^-78918988 would need 10**8 bits), so ``--out`` only works for d = 5.

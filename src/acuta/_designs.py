@@ -65,8 +65,9 @@ DESIGN_MARGINS: Dict[int, Fraction] = {
 LADDER_MAX_DIM: int = 8
 # Wall time of construct_full(ConstructionConfig(dim=LADDER_MAX_DIM)) --
 # build, guard and the exact margin scan over its 1 048 512 apex dots --
-# median of 3 runs on a 2-core Intel Xeon container under CPython 3.11.
-LADDER_MAX_DIM_SECONDS: float = 14.2
+# median of 3 runs (2.33, 2.35, 2.36 s) on a 2-core Intel Xeon under
+# CPython 3.11.
+LADDER_MAX_DIM_SECONDS: float = 2.35
 
 
 def ladder_k1(d: int) -> int:

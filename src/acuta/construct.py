@@ -28,7 +28,7 @@ final scales shrink doubly exponentially in d: the deepest scale is
 float64 stops near 2**-1074, so it fails from d = 5 on. A dense Fraction
 would need 10**8 bits at d = 6, but every ladder coordinate is a short sum
 of terms c * 2**e, so the sparse form certifies d = 6, 7 and 8 exactly (in
-about 0.5 s, 2.5 s and 14 s on a 2-core machine). What stops the ladder
+about 0.1 s, 0.5 s and 2.3 s on a 2-core machine). What stops the ladder
 there is the size of the scan, not the numbers: 2**(d-1)+1 points need
 n * C(n-1, 2) apex dots, 1 048 512 at d = 8 and 8 388 480 at d = 9.
 """
@@ -430,11 +430,11 @@ def _adaptive(cfg: ConstructionConfig) -> Tuple[PointSet, ConstructionTrace]:
         dots, dots_top = _apex_dots(d), _apex_dots(top)
         secs = _designs.LADDER_MAX_DIM_SECONDS
         raise ConstructionError(
-            f"adaptive construction at d = {d} is out of reach: certifying "
-            f"its {2 ** (d - 1) + 1} points takes {dots:,} exact apex dots and "
-            f"its deepest ladder scale is 2**-{_deepest_exponent(d)}; "
-            f"the largest certified dimension, d = {top}, checks "
-            f"{dots_top:,} dots in {secs:.0f} s, so d = {d} would take about "
+            f"adaptive construction at d = {d} is beyond the ladder's limit "
+            f"d = {top}: certifying its {2 ** (d - 1) + 1} points takes "
+            f"{dots:,} exact apex dots and its deepest ladder scale is "
+            f"2**-{_deepest_exponent(d)}; d = {top} checks {dots_top:,} dots "
+            f"in {secs:.1f} s, so d = {d} would take about "
             f"{secs * dots / dots_top:,.0f} s")
     return _ladder(cfg)
 
@@ -560,9 +560,10 @@ def construct_full(cfg: ConstructionConfig):
 
     Returns ``(point_set, trace, report)``. Raises ConstructionError if the
     pairwise guard |x_i - x_j|^2 < 2 ((d-1)/4 + c^2) fails on the cube part
-    or if the final certification does not come back acute.
+    or if the final certification does not come back acute. Guard and
+    certificate share one kernel of the full set.
     """
-    from .verify import verify_acute  # deferred: verify must not need us
+    from .verify import _certify_acute  # deferred: verify must not need us
 
     cube, trace = construct_acute_cube(cfg)
     d = cfg.dim
@@ -574,9 +575,14 @@ def construct_full(cfg: ConstructionConfig):
         lim: RawScalar = 2 * (Fraction(d - 1, 4) + Fraction(c) * Fraction(c))
     else:
         lim = 2.0 * ((d - 1) / 4.0 + float(c) * float(c))
-    gram = kernel(cube)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
+    full = PointSet(dim=d, points=pts + (apex,), backend=cfg.backend,
+                    provenance={**(cube.provenance or {}),
+                                "apex_height": str(c)})
+    gram = kernel(full)
+    # The set's squared diameter bounds every cube pair; only when it does
+    # not clear the guard are the pairs converted one by one.
+    if not gram.value(gram.max_sqdist()) < lim:
+        for i, j in itertools.combinations(range(len(pts)), 2):
             d2 = gram.value(gram.sqdist(i, j))
             if not d2 < lim:
                 raise ConstructionError(
@@ -584,10 +590,7 @@ def construct_full(cfg: ConstructionConfig):
                     f"2((d-1)/4 + c^2) = {lim}; the apex angle over this "
                     "pair could not be certified acute")
 
-    full = PointSet(dim=d, points=pts + (apex,), backend=cfg.backend,
-                    provenance={**(cube.provenance or {}),
-                                "apex_height": str(c)})
-    report = verify_acute(full, mode="margin")
+    report = _certify_acute(full, gram)
     if not report.verdict:
         w = report.witness.indices() if report.witness else None
         raise ConstructionError(

@@ -7,12 +7,19 @@ exactly when its margin is positive and right angles show up as margin zero.
 Every scan (margins, verdicts, slabs, diameters, the construction guard)
 runs on one kernel per backend, chosen by :func:`kernel`. Exact sets use
 :class:`ExactGram`: the Gram matrix is built once and each apex inner
-product is a 4-term sum of its entries. float64 sets use
+product is a 4-term sum of its entries. An int64 head filter settles most
+of those sums in numpy first: every entry x carries a head h and a count t
+of floored terms with x * 2**H in [h, h + t], so each dot times 2**H lies
+within R, the sum of its four counts, of D, the sum of its four heads.
+The bound holds for any H, since flooring a term loses less than 1 and
+never adds, and only dots it cannot decide reach the exact (for sparse
+entries, costly) sign test. float64 sets use
 :class:`FloatGram`, which takes every inner product between differences
 from the apex.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,7 +28,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .scalars import (FLOAT64, RATIONAL, Backend, Dyadic, RawScalar,
-                      ScalarError, as_exact, dyadic_diff_sign)
+                      ScalarError, as_exact, dyadic_diff_sign, head_split)
 
 Point = Tuple[RawScalar, ...]
 
@@ -130,6 +137,26 @@ class _Kernel:
         return raw, min((q, u, w) if u > q else (u, q, w)
                         for q, i, j in args for u, w in ((i, j), (j, i)))
 
+    def first_failure(self, fails):
+        """Sweep the triples i < j < k in order, each angle at i, at j, then
+        at k, and stop at the first raw dot that ``fails``. Returns the
+        triples checked, the failing ``(q, a, b)`` and its raw dot, or
+        ``(C(n, 3), None, None)``.
+        """
+        checked = 0
+        for i, j, k in itertools.combinations(range(self.n), 3):
+            checked += 1
+            for (q, a, b) in ((i, j, k), (j, i, k), (k, i, j)):
+                dot = self.dot(q, a, b)
+                if fails(dot):
+                    return checked, (q, a, b), dot
+        return checked, None, None
+
+
+# Heads are scaled so that every Gram entry's head stays below 2**55 in
+# magnitude: a dot's four heads plus its four tail counts then fit int64.
+_HEAD_BITS = 55
+
 
 class ExactGram(_Kernel):
     """Gram matrix of an exact point set, in units that order exactly.
@@ -140,6 +167,22 @@ class ExactGram(_Kernel):
     other values must then be dyadic too. Raw values -- entries, squared
     distances, apex dots -- are the true values times D**2 > 0, so their
     signs and their order are exact; :meth:`value` converts one back.
+
+    **Head filter.** Next to each entry x the kernel keeps, in two n x n
+    int64 arrays, a head h and a tail count t with x * 2**H in [h, h + t]
+    (:func:`~acuta.scalars.head_split`: terms at or above 2**-H are exact,
+    each lower one is floored and counted in t). H is chosen from the
+    largest entry, a diagonal one, so that every x * 2**H lies below 2**55
+    in magnitude and sums of four heads and counts never overflow. A raw
+    dot G_ij - G_qi - G_qj + G_qq times 2**H then lies in [D - R, D + R],
+    with D the same sum of heads and R the sum of the four tail counts,
+    whatever H is, because a floored term falls short by less than 1 and
+    never over. The scans bound every dot this way in numpy and run the
+    exact test only where a bound cannot decide:
+    a dot whose lower end exceeds another dot's upper end can be neither
+    the minimum nor tied with it, and a dot whose lower end is positive
+    passes every exact angle rule. What the exact test sees is a subset of
+    what it saw before, in the same order, so every result is unchanged.
     """
 
     def __init__(self, points: Sequence[Point]):
@@ -165,6 +208,19 @@ class ExactGram(_Kernel):
             for j in range(i + 1):
                 g[i][j] = g[j][i] = sum(a * b for a, b in zip(ri, rows[j]))
         self.g = g
+        # |G_ij| <= max(G_ii, G_jj) <= top, the largest diagonal entry
+        # rounded up to an integer.
+        top = max((sum(head_split(g[i][i], 0)) for i in range(n)), default=0)
+        shift = _HEAD_BITS - top.bit_length()
+        heads = np.zeros((n, n), dtype=np.int64)
+        tails = np.zeros((n, n), dtype=np.int64)
+        for i in range(n):
+            heads[i, :i + 1], tails[i, :i + 1] = zip(
+                *(head_split(x, shift) for x in g[i][:i + 1]))
+        upper = np.triu_indices(n, k=1)
+        heads[upper] = heads.T[upper]
+        tails[upper] = tails.T[upper]
+        self.heads, self.tails = heads, tails
 
     def value(self, raw) -> RawScalar:
         """The true value of a raw quantity."""
@@ -183,33 +239,91 @@ class ExactGram(_Kernel):
         return self.g[i][j] - gq[i] - gq[j] + gq[q]
 
     def max_sqdist(self):
-        n = self.n
-        return max((self.sqdist(i, j) for i in range(n)
-                    for j in range(i + 1, n)), default=0)
+        """Largest raw squared distance; only the pairs whose bound reaches
+        the largest lower bound are computed exactly."""
+        if self.n < 2:
+            return 0
+        iu, ju = np.triu_indices(self.n, k=1)
+        h, t = self.heads, self.tails
+        hd, td = np.diagonal(h), np.diagonal(t)
+        s = hd[iu] + hd[ju] - 2 * h[iu, ju]
+        r = td[iu] + td[ju] + 2 * t[iu, ju]
+        keep = np.flatnonzero(s + r >= (s - r).max())
+        return max(self.sqdist(i, j)
+                   for i, j in zip(iu[keep].tolist(), ju[keep].tolist()))
 
     def min_dots(self, apexes: Sequence[int]):
         """Smallest raw apex dot over ``apexes`` and every ``(q, i, j)``
         (i < j) attaining it, in lex order; ``(None, [])`` if empty."""
         g = self.g
-        n = self.n
         sign3 = self._sign3
+        iu, ju = np.triu_indices(self.n, k=1)
+        hij, tij = self.heads[iu, ju], self.tails[iu, ju]
+        cap = None      # least upper bound of a dot seen, >= the minimum
         best, args = None, []
         for q in apexes:
+            hq, tq = self.heads[q], self.tails[q]
+            d = hij - hq[iu] - hq[ju] + hq[q]
+            r = tij + tq[iu] + tq[ju] + tq[q]
+            away = (iu != q) & (ju != q)
+            if not away.any():
+                continue
+            top = int((d + r)[away].min())
+            cap = top if cap is None else min(cap, top)
+            keep = np.flatnonzero(away & (d - r <= cap))
             gq = g[q]
             gqq = gq[q]
-            others = [i for i in range(n) if i != q]
-            for a, i in enumerate(others):
-                gi = g[i]
-                ai = gq[i] - gqq        # dot(q; i, j) = gi[j] - ai - gq[j]
-                cut = None if best is None else ai + best
-                for j in others[a + 1:]:
-                    s = -1 if cut is None else sign3(gi[j], gq[j], cut)
-                    if s < 0:
-                        best, args = gi[j] - ai - gq[j], [(q, i, j)]
-                        cut = ai + best
-                    elif s == 0:
-                        args.append((q, i, j))
+            row = None
+            for i, j in zip(iu[keep].tolist(), ju[keep].tolist()):
+                if i != row:
+                    row, gi = i, g[i]
+                    ai = gq[i] - gqq    # dot(q; i, j) = gi[j] - ai - gq[j]
+                    cut = None if best is None else ai + best
+                s = -1 if cut is None else sign3(gi[j], gq[j], cut)
+                if s < 0:
+                    best, args = gi[j] - ai - gq[j], [(q, i, j)]
+                    cut = ai + best
+                elif s == 0:
+                    args.append((q, i, j))
         return best, args
+
+    def first_failure(self, fails):
+        """As :meth:`_Kernel.first_failure`, for a rule that passes every
+        positive dot (each exact rule does): a dot whose bound is positive
+        is passed without its exact value."""
+        n = self.n
+        h, t = self.heads, self.tails
+        checked = 0
+        for i in range(n - 2):
+            m = n - i - 1
+            r = slice(i + 1, n)
+            # Lower ends D - R of the dots of the triples (i, j, k), with j
+            # along rows and k along columns: at i (legs j, k) and at j
+            # (legs i, k); the one at k (legs i, j) is the transpose of the
+            # one at j.
+            hr, tr = h[i, r], t[i, r]
+            hs, ts = h[r, r], t[r, r]
+            low_i = (hs - ts - (hr + tr)[:, None] - (hr + tr)[None, :]
+                     + (h[i, i] - t[i, i]))
+            low_j = ((np.diagonal(hs) - np.diagonal(ts) - hr - tr)[:, None]
+                     + (hr - tr)[None, :] - hs - ts)
+            pos_i, pos_j = low_i > 0, low_j > 0
+            unsure = np.triu(~(pos_i & pos_j & pos_j.T), k=1)
+            for x in np.flatnonzero(unsure).tolist():
+                y, z = divmod(x, m)
+                j, k = i + 1 + y, i + 1 + z
+                for (q, a, b), sure in zip(((i, j, k), (j, i, k), (k, i, j)),
+                                           (pos_i[y, z], pos_j[y, z],
+                                            pos_j[z, y])):
+                    if sure:
+                        continue
+                    dot = self.dot(q, a, b)
+                    if fails(dot):
+                        # the pairs (y', z') of this block up to (y, z)
+                        done = math.comb(m, 2) - math.comb(m - y, 2) + z - y
+                        return checked + done, (q, a, b), dot
+            checked += math.comb(m, 2)
+        return checked, None, None
 
 
 def _int_sign3(a: int, b: int, c: int) -> int:

@@ -82,6 +82,28 @@ def dyadic_diff_sign(a: "Dyadic", b: "Dyadic", c: "Dyadic") -> int:
     return _sign(terms, a.mass + b.mass + c.mass)
 
 
+def head_split(x, shift: int):
+    """Integer head ``h`` and tail count ``t`` with
+    ``h <= x * 2**shift <= h + t``, for an int or a :class:`Dyadic` x.
+
+    Each term c * 2**e (an int is the single term c = x, e = 0) adds
+    ``c << (e + shift)`` to h exactly when e + shift >= 0, and its floor
+    ``c >> -(e + shift)`` otherwise; a floored term falls short of its
+    value by less than 1, and t counts the floored terms. Any shift is
+    sound; it only decides how much of x the head holds.
+    """
+    terms = ((0, x),) if isinstance(x, int) else x.terms
+    h = t = 0
+    for e, c in terms:
+        s = e + shift
+        if s >= 0:
+            h += c << s
+        else:
+            h += c >> -s
+            t += 1
+    return h, t
+
+
 class Dyadic:
     """An exact sparse dyadic rational: a finite sum of terms ``c * 2**e``.
 

@@ -3,11 +3,11 @@
 The checks take nothing from the construction: they see only the points.
 Every scan runs on the kernel of the set's backend,
 :func:`acuta.geometry.kernel` (:class:`~acuta.geometry.ExactGram` or
-:class:`~acuta.geometry.FloatGram`), which ``set_margin`` shares; this
-module only assembles reports and runs the early-exit verdict sweep over
-the kernel's apex dots. The independent check of the kernels is the naive
-triple loop ``naive_margin`` in the test suite, which acceptance criterion 8
-compares against bit for bit. ``threads`` is accepted and ignored.
+:class:`~acuta.geometry.FloatGram`), which ``set_margin`` shares, the
+early-exit verdict sweep included; this module only assembles reports.
+The independent check of the kernels is the naive triple loop
+``naive_margin`` in the test suite, which acceptance criterion 8 compares
+against bit for bit. ``threads`` is accepted and ignored.
 
 Checks come in three strengths:
 
@@ -21,11 +21,10 @@ Checks come in three strengths:
 """
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from .geometry import PointSet, TripleWitness, kernel
 from .scalars import RATIONAL, Backend, RawScalar, Tolerance
@@ -57,8 +56,9 @@ class VerificationReport:
     elapsed: float
 
 
-def _setup(ps: PointSet, tolerance: Optional[Tolerance]):
-    """Scan kernel, squared diameter and strict margin in raw units.
+def _setup(ps: PointSet, tolerance: Optional[Tolerance], gram=None):
+    """Scan kernel (``gram``, if the caller built it already), squared
+    diameter and strict margin in raw units.
 
     Exact tolerances are pinned to zero and raw exact values carry the true
     sign, so exact predicates compare raw values against the int 0; raw
@@ -66,7 +66,7 @@ def _setup(ps: PointSet, tolerance: Optional[Tolerance]):
     """
     if len(ps) < 3:
         raise ValueError("verification needs at least 3 points")
-    gram = kernel(ps)
+    gram = kernel(ps) if gram is None else gram
     sqd = gram.value(gram.max_sqdist())
     exact = ps.backend == RATIONAL
     tol = tolerance if tolerance is not None else (
@@ -78,24 +78,12 @@ def _setup(ps: PointSet, tolerance: Optional[Tolerance]):
     return gram, sqd, (0 if exact else tol.strict_margin)
 
 
-def _verdict_scan(gram, fails) -> Tuple[bool, Optional[TripleWitness], int]:
-    """Single-threaded i<j<k sweep, stopping at the first failing angle."""
-    checked = 0
-    for i, j, k in itertools.combinations(range(gram.n), 3):
-        checked += 1
-        for (q, a, b) in ((i, j, k), (j, i, k), (k, i, j)):
-            dot = gram.dot(q, a, b)
-            if fails(dot):
-                return False, TripleWitness(q, a, b, gram.value(dot)), checked
-    return True, None, checked
-
-
 def _angle_check(ps: PointSet, check: str, tolerance: Optional[Tolerance],
-                 mode: str, fail_rule) -> VerificationReport:
+                 mode: str, fail_rule, gram=None) -> VerificationReport:
     if mode not in ("margin", "verdict"):
         raise ValueError(f"unknown mode: {mode!r}")
     start = time.perf_counter()
-    gram, sqd, strict = _setup(ps, tolerance)
+    gram, sqd, strict = _setup(ps, tolerance, gram)
     fails = fail_rule(strict)
 
     if mode == "margin":
@@ -108,12 +96,22 @@ def _angle_check(ps: PointSet, check: str, tolerance: Optional[Tolerance],
             triples_checked=n * (n - 1) * (n - 2) // 6, squared_diameter=sqd,
             backend=ps.backend, elapsed=time.perf_counter() - start)
 
-    verdict, witness, checked = _verdict_scan(gram, fails)
+    checked, angle, raw = gram.first_failure(fails)
+    witness = TripleWitness(*angle, gram.value(raw)) if angle else None
     return VerificationReport(
-        check=check, verdict=verdict,
+        check=check, verdict=witness is None,
         margin=witness.dot_value if witness else None, witness=witness,
         triples_checked=checked, squared_diameter=sqd,
         backend=ps.backend, elapsed=time.perf_counter() - start)
+
+
+def _not_acute(strict):
+    return lambda dot: not dot > strict
+
+
+def _certify_acute(ps: PointSet, gram) -> VerificationReport:
+    """``verify_acute(ps)`` on a kernel of ``ps`` the caller already built."""
+    return _angle_check(ps, "acute", None, "margin", _not_acute, gram)
 
 
 def verify_acute(ps: PointSet, tolerance: Optional[Tolerance] = None,
@@ -125,8 +123,7 @@ def verify_acute(ps: PointSet, tolerance: Optional[Tolerance] = None,
     the exact minimum with a deterministic witness; ``"verdict"`` mode may
     stop at the first violation (a pass still scans everything).
     """
-    return _angle_check(ps, "acute", tolerance, mode,
-                        lambda strict: (lambda dot: not dot > strict))
+    return _angle_check(ps, "acute", tolerance, mode, _not_acute)
 
 
 def verify_nonobtuse(ps: PointSet, tolerance: Optional[Tolerance] = None,

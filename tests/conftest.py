@@ -25,6 +25,36 @@ def naive_margin(points):
     return best
 
 
+def _dot(points, q, a, b):
+    pq, pa, pb = points[q], points[a], points[b]
+    return sum((x - z) * (y - z) for x, y, z in zip(pa, pb, pq))
+
+
+def naive_minima(points):
+    """Reference margin and every (apex, leg1, leg2), leg1 < leg2, that
+    attains it, in lex order."""
+    n = len(points)
+    dots = [((q, a, b), _dot(points, q, a, b)) for q in range(n)
+            for a, b in itertools.combinations(
+                [i for i in range(n) if i != q], 2)]
+    low = min(dot for _, dot in dots)
+    return low, [angle for angle, dot in dots if dot == low]
+
+
+def naive_first_failure(points, fails):
+    """Reference early-exit sweep: triples i < j < k in order, the angle at
+    i, j, then k of each; returns (triples checked, failing angle or None,
+    its dot or None)."""
+    checked = 0
+    for i, j, k in itertools.combinations(range(len(points)), 3):
+        checked += 1
+        for (q, a, b) in ((i, j, k), (j, i, k), (k, i, j)):
+            dot = _dot(points, q, a, b)
+            if fails(dot):
+                return checked, (q, a, b), dot
+    return checked, None, None
+
+
 def naive_slab(points):
     """Reference slab depth: direct pair-and-third-point loop.
 

@@ -299,6 +299,15 @@ class TestAdaptive:
         with pytest.raises(ConstructionError):
             construct_full(cfg)
 
+    @pytest.mark.parametrize("backend, shown", [
+        ("rational", "78805/32768"), ("float64", "2.404937744140625")])
+    def test_guard_names_the_first_pair_and_its_true_distance(self, backend,
+                                                              shown):
+        cfg = ConstructionConfig(dim=3, apex_height="3/4", backend=backend)
+        with pytest.raises(ConstructionError,
+                           match=rf"guard failed: \|x_0 - x_1\|\^2 = {shown} "):
+            construct_full(cfg)
+
 
 class TestGeometric:
     def test_d2_succeeds(self):

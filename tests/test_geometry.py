@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 from acuta import (Dyadic, GeometryError, PointSet, TripleWitness,
                    dot_at_apex, set_margin, squared_diameter, triangle_margin)
 from acuta.geometry import ExactGram
-from conftest import naive_margin, random_rational_points, random_rational_set
+from conftest import (naive_first_failure, naive_margin, naive_minima,
+                      naive_slab, random_rational_points, random_rational_set)
 
 F = Fraction
 
@@ -177,3 +180,82 @@ class TestExactGram:
         pts = [(Dyadic.pow2(-10 ** 8), F(0)), (F(1, 3), F(0)), (F(0), F(1))]
         with pytest.raises(GeometryError):
             ExactGram(pts)
+
+
+def _not_acute(dot):
+    return not dot > 0
+
+
+def _obtuse(dot):
+    return dot < 0
+
+
+def _near_2_70(seed, n, dim):
+    """Integer points within 3 of (2**70, ..., 2**70): Gram entries near
+    2**141, so the heads keep nothing of any dot (H < 0)."""
+    rng = random.Random(seed)
+    pts = set()
+    while len(pts) < n:
+        pts.add(tuple(F(2 ** 70 + rng.randint(-3, 3)) for _ in range(dim)))
+    return sorted(pts)
+
+
+def _fine_cube(seed, dim):
+    """Cube vertices moved by multiples of 2**-80: every dot is a cube dot
+    plus terms below 2**-80, which the heads (H = 52 or 53) cannot see."""
+    rng = random.Random(seed)
+    return [tuple(v + F(rng.randint(-3, 3), 2 ** 80) for v in vertex)
+            for vertex in itertools.product((0, 1), repeat=dim)]
+
+
+class TestHeadFilter:
+    """The int64 head bounds decide which dots the exact test sees; every
+    scan must still equal the naive loops of conftest, most of all where
+    the bounds cannot tell the dots apart."""
+
+    @staticmethod
+    def check(points, sparse=False):
+        gram = ExactGram([[Dyadic.of(x) for x in p] for p in points]
+                         if sparse else points)
+        n = len(points)
+        raw, args = gram.min_dots(range(n))
+        assert (gram.value(raw), args) == naive_minima(points)
+        raw, witness = gram.min_slab()
+        assert (gram.value(raw), witness) == naive_slab(points)
+        assert gram.value(gram.max_sqdist()) == max(
+            dot_at_apex(p, r, r) for p, r in itertools.combinations(points, 2))
+        for rule in (_not_acute, _obtuse):
+            checked, angle, dot = gram.first_failure(rule)
+            dot = None if dot is None else gram.value(dot)
+            assert (checked, angle, dot) == naive_first_failure(points, rule)
+
+    @given(st.integers(0, 10 ** 6), st.integers(3, 10), st.integers(2, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_random_rational_sets(self, seed, n, dim):
+        pts = random_rational_set(seed=seed, n=n, dim=dim).points
+        self.check(pts)
+        self.check(pts, sparse=True)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_tie_heavy_hypercubes(self, dim):
+        cube = [tuple(F(x) for x in v)
+                for v in itertools.product((0, 1), repeat=dim)]
+        self.check(cube)
+        self.check(cube + [tuple([F(1, 2)] * (dim - 1) + [F(dim, 2)])],
+                   sparse=True)
+
+    @given(st.integers(0, 10 ** 6), st.integers(3, 9), st.integers(2, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_coordinates_near_2_70(self, seed, n, dim):
+        pts = _near_2_70(seed, n, dim)
+        assert ExactGram(pts).tails.min() == 1      # every head is floored
+        self.check(pts)
+        m, w = set_margin(PointSet(dim=dim, points=pts, backend="rational"))
+        assert (m, w.indices()) == naive_margin(pts)
+
+    @given(st.integers(0, 10 ** 6), st.integers(2, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_dyadic_dots_that_differ_below_the_heads(self, seed, dim):
+        pts = _fine_cube(seed, dim)
+        assert ExactGram([[Dyadic.of(x) for x in p] for p in pts]).tails.any()
+        self.check(pts, sparse=True)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acuta import Dyadic, ScalarError, Tolerance
-from acuta.scalars import as_exact
+from acuta.scalars import as_exact, head_split
 
 
 class TestTolerance:
@@ -107,3 +107,48 @@ class TestDyadicAgainstFraction:
         assert as_exact(Dyadic([(-5, 3)])) == Fraction(3, 32)
         assert isinstance(as_exact(Dyadic([(-5, 3)])), Fraction)
         assert isinstance(as_exact(Dyadic.pow2(-10 ** 8)), Dyadic)
+
+
+def exact_value(terms):
+    return sum((c * Fraction(2) ** e for e, c in terms), Fraction(0))
+
+
+def brackets(terms, shift, h, t):
+    """h <= (sum of c * 2**e) * 2**shift <= h + t, in integers scaled by
+    2**-low (a Fraction check would spend its time in gcds of 10**6 bits)."""
+    low = min([0] + [e + shift for e, _ in terms])
+    x = sum(c << (e + shift - low) for e, c in terms)
+    return h << -low <= x <= (h + t) << -low
+
+
+big_terms = st.lists(st.tuples(
+    st.one_of(st.integers(-60, 60), st.integers(-10 ** 6 - 60, -10 ** 6 + 60),
+              st.integers(10 ** 6 - 60, 10 ** 6 + 60)),
+    st.integers(-2 ** 300, 2 ** 300)), max_size=5)
+
+
+class TestHeadSplit:
+    """head_split(x, H) = (h, t) must bracket x * 2**H in [h, h + t]."""
+
+    @given(st.integers(-2 ** 300, 2 ** 300), st.integers(-400, 400))
+    @settings(max_examples=200)
+    def test_ints(self, x, shift):
+        h, t = head_split(x, shift)
+        assert h <= x * Fraction(2) ** shift <= h + t
+
+    @given(big_terms, st.integers(-10 ** 6 - 400, 10 ** 6 + 400))
+    @settings(max_examples=100, deadline=None)
+    def test_dyadics_with_big_coefficients_and_exponents(self, terms, shift):
+        assert brackets(terms, shift, *head_split(Dyadic(terms), shift))
+
+    @given(st.integers(-2 ** 300, 2 ** 300).filter(bool), st.integers(-80, 80),
+           st.integers(-400, 40), big_terms)
+    @settings(max_examples=100, deadline=None)
+    def test_dyadics_that_cancel_to_zero(self, c, e, shift, terms):
+        # c * 2**(e + 1) - 2c * 2**e keeps two terms that sum to zero.
+        zero = Dyadic([(e + 1, c), (e, -2 * c)])
+        assert len(zero.terms) == 2 and zero.sign() == 0
+        h, t = head_split(zero, shift)
+        assert h <= 0 <= h + t
+        x = Dyadic(terms + [(e + 1, c), (e, -2 * c)])
+        assert brackets(terms, shift, *head_split(x, shift))
