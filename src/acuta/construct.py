@@ -14,8 +14,8 @@ Two schedules are offered:
   end acute. This is the transparent, schedule-driven path; for most
   dimensions it fails honestly (see the module notes below).
 * ``"adaptive"`` returns a certified configuration chosen per dimension:
-  frozen searched designs for d <= 4, and for 5 <= d <= 8 an exact scale
-  ladder whose coordinates are sparse :class:`Dyadic` sums. Beyond d = 8,
+  frozen searched designs for d <= 4, and for 5 <= d <= 10 an exact scale
+  ladder whose coordinates are sparse :class:`Dyadic` sums. Beyond d = 10,
   and for float64 beyond d = 4, it raises ConstructionError with the
   measured numbers.
 
@@ -24,13 +24,14 @@ touches, but its Case-2 repairs are worth only ~(d-1)*a**2, fourth order in
 the step scale. Each later vertex must therefore move *cubically* less than
 the one before it, and with ``2**(d-2)`` antipodal classes to separate the
 final scales shrink doubly exponentially in d: the deepest scale is
-2**-12028 at d = 5, 2**-78918988 at d = 6 and about 2**-(7.4e30) at d = 8.
-float64 stops near 2**-1074, so it fails from d = 5 on. A dense Fraction
-would need 10**8 bits at d = 6, but every ladder coordinate is a short sum
-of terms c * 2**e, so the sparse form certifies d = 6, 7 and 8 exactly (in
-about 0.1 s, 0.5 s and 2.3 s on a 2-core machine). What stops the ladder
-there is the size of the scan, not the numbers: 2**(d-1)+1 points need
-n * C(n-1, 2) apex dots, 1 048 512 at d = 8 and 8 388 480 at d = 9.
+2**-12028 at d = 5, 2**-78918988 at d = 6 and about 2**-(3.5e122) at
+d = 10. float64 stops near 2**-1074, so it fails from d = 5 on. A dense
+Fraction would need 10**8 bits at d = 6, but every ladder coordinate is a
+short sum of terms c * 2**e, so the sparse form certifies d = 6 to 10
+exactly (d = 8 in about 0.14 s, d = 9 in 0.7 s and d = 10 in 3.9 s on a
+2-core machine). What stops the ladder there is the size of the scan, not the
+numbers: 2**(d-1)+1 points need n * C(n-1, 2) apex dots, 67 108 608 at
+d = 10 and 536 870 400 at d = 11.
 """
 from __future__ import annotations
 

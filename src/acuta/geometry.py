@@ -7,15 +7,27 @@ exactly when its margin is positive and right angles show up as margin zero.
 Every scan (margins, verdicts, slabs, diameters, the construction guard)
 runs on one kernel per backend, chosen by :func:`kernel`. Exact sets use
 :class:`ExactGram`: the Gram matrix is built once and each apex inner
-product is a 4-term sum of its entries. An int64 head filter settles most
-of those sums in numpy first: every entry x carries a head h and a count t
-of floored terms with x * 2**H in [h, h + t], so each dot times 2**H lies
-within R, the sum of its four counts, of D, the sum of its four heads.
-The bound holds for any H, since flooring a term loses less than 1 and
-never adds, and only dots it cannot decide reach the exact (for sparse
-entries, costly) sign test. float64 sets use
-:class:`FloatGram`, which takes every inner product between differences
-from the apex.
+product is a 4-term sum of its entries. Two filters settle most of those
+sums in numpy first, and only dots neither can decide reach the exact (for
+sparse entries, costly) sign test:
+
+* an int64 **head filter**: every entry x carries a head h and a count t
+  of floored terms with x * 2**H in [h, h + t], so each dot times 2**H
+  lies within R, the sum of its four counts, of D, the sum of its four
+  heads. The bound holds for any H, since flooring a term loses less than
+  1 and never adds.
+* for sparse :class:`Dyadic` entries, a **leading-term filter** on the
+  dots the heads leave: with v * 2**p the leading term of a dot's merged
+  terms and everything after it summing to less than 2**(p - 1) in size
+  (its gap to the next term exceeds the bit length of the mass after it),
+  the dot lies strictly inside ((2v - 1) * 2**(p - 1), (2v + 1) * 2**(p - 1)).
+  Exponents become int64 positions that keep their order and each gap up
+  to a cap C, which is at least the bit length of every 2v +- 1 and of
+  every mass, so every comparison the filter makes comes out as with the
+  true exponents.
+
+float64 sets use :class:`FloatGram`, which takes every inner product
+between differences from the apex.
 """
 from __future__ import annotations
 
@@ -23,12 +35,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .scalars import (FLOAT64, RATIONAL, Backend, Dyadic, RawScalar,
-                      ScalarError, as_exact, dyadic_diff_sign, head_split)
+                      ScalarError, as_exact, dyadic_diff_sign, dyadic_inner,
+                      head_split)
 
 Point = Tuple[RawScalar, ...]
 
@@ -37,9 +50,10 @@ class GeometryError(ValueError):
     """Raised for malformed points, duplicate entries, or degenerate input."""
 
 
-def _coerce_point(raw: Sequence, backend: Backend) -> Point:
+def _coerce_point(raw: Sequence, backend: Backend, sparse: bool) -> Point:
     if backend == RATIONAL:
-        return tuple(as_exact(x) for x in raw)
+        return tuple(x if sparse and isinstance(x, Dyadic) else as_exact(x)
+                     for x in raw)
     vals = tuple(float(x) for x in raw)
     for x in vals:
         if not math.isfinite(x):
@@ -71,7 +85,14 @@ class TripleWitness:
 
 @dataclass(frozen=True)
 class PointSet:
-    """An ordered, duplicate-free collection of points in one backend."""
+    """An ordered, duplicate-free collection of points in one backend.
+
+    Exact coordinates become Fractions (:func:`~acuta.scalars.as_exact`),
+    with one set-level rule: a set that holds any :class:`Dyadic` too large
+    for a Fraction keeps all of its Dyadic values sparse, so its Gram
+    entries stay short sums of small terms (see :class:`ExactGram`). Values
+    equal and hash alike in either form, and so do the sets.
+    """
 
     dim: int
     points: Tuple[Point, ...]
@@ -81,7 +102,10 @@ class PointSet:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise GeometryError(f"dim must be >= 1, got {self.dim}")
-        coerced = tuple(_coerce_point(p, self.backend) for p in self.points)
+        rows = [tuple(p) for p in self.points]
+        sparse = any(isinstance(x, Dyadic) and not x.fits_fraction()
+                     for p in rows for x in p)
+        coerced = tuple(_coerce_point(p, self.backend, sparse) for p in rows)
         for p in coerced:
             if len(p) != self.dim:
                 raise GeometryError(
@@ -156,17 +180,82 @@ class _Kernel:
 # Heads are scaled so that every Gram entry's head stays below 2**55 in
 # magnitude: a dot's four heads plus its four tail counts then fit int64.
 _HEAD_BITS = 55
+# A sparse entry joins the leading-term table only with at most this many
+# terms and a coefficient mass below 2**24. A term is stored as one int64
+# word, position * 2**25 + coefficient + 2**24, so that sorting words sorts
+# terms by position; four entries' coefficients then sum far inside int64,
+# and their masses stay exact in float64, which bit lengths are read from.
+_LEAD_TERMS = 8
+_LEAD_MASS_BITS = 24
+_WORD = 1 << _LEAD_MASS_BITS + 1
+_BIAS = 1 << _LEAD_MASS_BITS
+
+
+class _Leads(NamedTuple):
+    """The leading-term table of a sparse Gram matrix (see
+    :class:`ExactGram`): ``words`` holds each packed entry's terms, highest
+    first, as position * 2**25 + coefficient + 2**24, padded with position
+    -1 and coefficient 0; ``ok`` marks the packed entries; ``bits`` is C."""
+
+    words: np.ndarray
+    ok: np.ndarray
+    bits: int
+
+
+def _lead_table(g) -> Optional[_Leads]:
+    n = len(g)
+    i, j = np.tril_indices(n)
+    lower = [g[a][b] for a, b in zip(i.tolist(), j.tolist())]
+    packs = np.array([len(x.terms) <= _LEAD_TERMS
+                      and x.mass.bit_length() <= _LEAD_MASS_BITS
+                      for x in lower], dtype=bool)
+    if not packs.any():
+        return None
+    packed = list(itertools.compress(lower, packs))
+    width = max(1, max(len(x.terms) for x in packed))
+    bits = (8 * max(x.mass for x in packed) + 1).bit_length()
+    pos, p, last = {}, 0, None
+    for e in sorted({e for x in packed for e, _ in x.terms}):
+        if last is not None:
+            p += min(e - last, bits)
+        pos[e], last = p, e
+    if max((p + bits + 1) << bits, (p + 1) * _WORD) >> 63:
+        return None             # keys or words would leave int64
+    pad = [-_WORD + _BIAS] * width
+    words = np.fromiter(itertools.chain.from_iterable(
+        [pos[e] * _WORD + c + _BIAS for e, c in x.terms] + pad[len(x.terms):]
+        for x in packed), dtype=np.int64, count=len(packed) * width)
+    words = words.reshape(len(packed), width)
+    i, j = i[packs], j[packs]
+    table = np.full((n, n, width), pad[0], dtype=np.int64)
+    table[i, j] = table[j, i] = words
+    ok = np.zeros((n, n), dtype=bool)
+    ok[i, j] = ok[j, i] = True
+    return _Leads(table, ok, bits)
+
+
+def _keys(a, x, bits: int):
+    """int64 keys that order the values a * 2**x (a odd, |a| < 2**bits,
+    x >= -1) like the values: the binade x + bitlen(a), then the mantissa
+    of |a| over ``bits`` bits, negated for a < 0."""
+    m = np.abs(a)
+    e = np.frexp(m.astype(np.float64))[1]       # bitlen(m), m < 2**53
+    k = ((x + e + 1) << bits) | (m << (bits - e))
+    return np.where(a < 0, -k, k)
 
 
 class ExactGram(_Kernel):
     """Gram matrix of an exact point set, in units that order exactly.
 
     A set of Fractions is scaled by the lcm D of its denominators, so every
-    entry is a Python int. A set holding a :class:`Dyadic` (a value too
-    large for a dense Fraction) keeps sparse Dyadic entries and D = 1; its
-    other values must then be dyadic too. Raw values -- entries, squared
-    distances, apex dots -- are the true values times D**2 > 0, so their
-    signs and their order are exact; :meth:`value` converts one back.
+    entry is a Python int. A set holding a :class:`Dyadic` (see
+    :class:`PointSet`: a set with a value too large for a dense Fraction
+    keeps all its Dyadic values sparse) keeps sparse Dyadic entries and
+    D = 1; its other values must then be dyadic too. Each sparse entry is
+    built in one pass, every coefficient product added into one dict keyed
+    by its exponent. Raw values -- entries, squared distances, apex dots --
+    are the true values times D**2 > 0, so their signs and their order are
+    exact; :meth:`value` converts one back.
 
     **Head filter.** Next to each entry x the kernel keeps, in two n x n
     int64 arrays, a head h and a tail count t with x * 2**H in [h, h + t]
@@ -181,11 +270,46 @@ class ExactGram(_Kernel):
     exact test only where a bound cannot decide:
     a dot whose lower end exceeds another dot's upper end can be neither
     the minimum nor tied with it, and a dot whose lower end is positive
-    passes every exact angle rule. What the exact test sees is a subset of
-    what it saw before, in the same order, so every result is unchanged.
+    passes every exact angle rule.
+
+    **Leading-term filter** (sparse entries only; for ints the exact test is
+    one subtraction). One global H cannot order dots that differ only far
+    below 2**-H, such as the originally right angles of a perturbed cube.
+    ``leads`` keeps each entry of at most 8 terms and coefficient mass below
+    2**24 as T (position, coefficient) pairs, each packed into one int64
+    word, in n x n x T arrays; T is the most terms of a packed entry.
+    Positions replace exponents: they keep the order of all the exponents
+    of packed entries, and each gap between neighbours up to a cap C,
+    larger gaps becoming C. With M the largest mass of a packed entry, four
+    entries merge into coefficients of at most 4M in size, and
+    C = bitlen(8M + 1) is the bit length of the largest odd number 2v +- 1
+    below. The dots that the heads leave are merged in numpy, their four
+    term lists sorted by position and equal positions summed. Where the
+    leading merged term v * 2**p is isolated -- its gap to the next nonzero
+    term exceeds the bit length of the mass after it, the rule of
+    :func:`~acuta.scalars.dyadic_diff_sign` -- everything after it sums to
+    less than 2**(p - 1) in size, so the dot lies strictly inside
+    ((2v - 1) * 2**(p - 1), (2v + 1) * 2**(p - 1)). Capped positions keep
+    every decision made on these ends: two exponents are either as far
+    apart as their positions, or both gaps are at least C. A gap of C or
+    more exceeds the bit length of any mass after a leading term, so it
+    passes each isolation test just as the true gap does; and with odd
+    |a| >= 1 and |b| < 2**C it makes |a| * 2**gap > |b|, so a * 2**x and
+    b * 2**y (x > y) compare as the sign of a says, at positions as at
+    exponents. The ends are stored as int64 keys that sort like the values,
+    and the same cap rule as for the heads runs on them (in verdict mode, a
+    dot whose lower key is positive passes); a dot whose leading term is
+    not isolated, or whose entries are not all packed, goes to the exact
+    test.
+
+    :meth:`min_dots` bounds every apex first and tests exactly only the
+    dots that reach the least upper bound of all. What the exact test sees
+    is a subset of what it saw before, in the same order, so every result
+    is unchanged.
     """
 
     def __init__(self, points: Sequence[Point]):
+        n = self.n = len(points)
         if any(isinstance(x, Dyadic) for p in points for x in p):
             try:
                 rows = [[Dyadic.of(x) for x in p] for p in points]
@@ -195,18 +319,19 @@ class ExactGram(_Kernel):
                     f"all dyadic: {exc}") from exc
             self._d2 = None
             self._sign3 = dyadic_diff_sign
+            inner = dyadic_inner
         else:
             den = math.lcm(*(x.denominator for p in points for x in p))
             rows = [[x.numerator * (den // x.denominator) for x in p]
                     for p in points]
             self._d2 = den * den
             self._sign3 = _int_sign3
-        n = self.n = len(rows)
+            inner = _int_inner
         g = [[0] * n for _ in range(n)]
         for i in range(n):
             ri = rows[i]
             for j in range(i + 1):
-                g[i][j] = g[j][i] = sum(a * b for a, b in zip(ri, rows[j]))
+                g[i][j] = g[j][i] = inner(ri, rows[j])
         self.g = g
         # |G_ij| <= max(G_ii, G_jj) <= top, the largest diagonal entry
         # rounded up to an integer.
@@ -221,6 +346,7 @@ class ExactGram(_Kernel):
         heads[upper] = heads.T[upper]
         tails[upper] = tails.T[upper]
         self.heads, self.tails = heads, tails
+        self.leads = _lead_table(g) if self._d2 is None else None
 
     def value(self, raw) -> RawScalar:
         """The true value of a raw quantity."""
@@ -252,15 +378,64 @@ class ExactGram(_Kernel):
         return max(self.sqdist(i, j)
                    for i, j in zip(iu[keep].tolist(), ju[keep].tolist()))
 
+    def _lead_bounds(self, q, a, b):
+        """Keys ``lo`` and ``hi`` with lo < dot < hi for the raw dots
+        (q; a, b) (index arrays of one shape, or q an int), and the mask of
+        the dots they hold for: all four entries packed and the leading
+        merged term isolated. Elsewhere ``lo`` and ``hi`` are 0."""
+        table, ok, bits = self.leads
+        q = np.broadcast_to(q, a.shape)
+        k = a.size
+        lo, hi = np.zeros(k, np.int64), np.zeros(k, np.int64)
+        sure = np.zeros(k, bool)
+        if not k:
+            return lo, hi, sure
+        words = np.concatenate((table[a, b], table[q, a], table[q, b],
+                                table[q, q]), 1)
+        t = table.shape[2]
+        minus = words[:, t:3 * t]       # G_qa and G_qb enter negated
+        minus -= 2 * ((minus & _WORD - 1) - _BIAS)
+        words.sort(axis=1)
+        w = words.shape[1]
+        words = words[:, ::-1].ravel()          # highest position first
+        p = words >> _LEAD_MASS_BITS + 1
+        c = (words & _WORD - 1) - _BIAS
+        # Sum each run of equal positions within a row; keep the nonzero.
+        start = np.ones(p.size, bool)
+        start[1:] = p[1:] != p[:-1]
+        start[::w] = True
+        at = np.flatnonzero(start)
+        merged = np.add.reduceat(c, at)
+        nz = merged != 0
+        at, merged = at[nz], merged[nz]
+        if not at.size:
+            return lo, hi, sure         # every dot is exactly zero
+        row = at // w
+        first = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+        rows, v, top = row[first], merged[first], p[at[first]]
+        rest = np.add.reduceat(np.abs(merged), first) - np.abs(v)
+        nxt = np.minimum(first + 1, at.size - 1)
+        alone = (first + 1 == at.size) | (row[nxt] != rows)
+        gap = np.where(alone, 1, top - p[at[nxt]])
+        iso = gap > np.frexp(rest.astype(np.float64))[1]
+        sure[rows] = iso & (ok[a, b] & ok[q, a] & ok[q, b] & ok[q, q])[rows]
+        lo[rows] = _keys(2 * v - 1, top - 1, bits)
+        hi[rows] = _keys(2 * v + 1, top - 1, bits)
+        return lo, hi, sure
+
     def min_dots(self, apexes: Sequence[int]):
         """Smallest raw apex dot over ``apexes`` and every ``(q, i, j)``
-        (i < j) attaining it, in lex order; ``(None, [])`` if empty."""
-        g = self.g
-        sign3 = self._sign3
+        (i < j) attaining it, in lex order; ``(None, [])`` if empty.
+
+        A first pass bounds each apex's dots and keeps those that reach the
+        least upper bound seen so far; the exact pass then tests, apex by
+        apex, only those that reach the least upper bound of all.
+        """
         iu, ju = np.triu_indices(self.n, k=1)
         hij, tij = self.heads[iu, ju], self.tails[iu, ju]
         cap = None      # least upper bound of a dot seen, >= the minimum
-        best, args = None, []
+        cap2 = None     # the same in leading-term keys
+        batches = []
         for q in apexes:
             hq, tq = self.heads[q], self.tails[q]
             d = hij - hq[iu] - hq[ju] + hq[q]
@@ -271,6 +446,26 @@ class ExactGram(_Kernel):
             top = int((d + r)[away].min())
             cap = top if cap is None else min(cap, top)
             keep = np.flatnonzero(away & (d - r <= cap))
+            low = (d - r)[keep]
+            lo, sure = None, None
+            if self.leads is not None:
+                lo, hi, sure = self._lead_bounds(q, iu[keep], ju[keep])
+                if sure.any():
+                    top = int(hi[sure].min())
+                    cap2 = top if cap2 is None else min(cap2, top)
+                    near = ~sure | (lo <= cap2)
+                    keep, low, lo, sure = (x[near]
+                                           for x in (keep, low, lo, sure))
+            batches.append((q, keep, low, lo, sure))
+
+        g = self.g
+        sign3 = self._sign3
+        best, args = None, []
+        for q, keep, low, lo, sure in batches:
+            near = low <= cap
+            if cap2 is not None:
+                near &= ~sure | (lo <= cap2)
+            keep = keep[near]
             gq = g[q]
             gqq = gq[q]
             row = None
@@ -289,8 +484,8 @@ class ExactGram(_Kernel):
 
     def first_failure(self, fails):
         """As :meth:`_Kernel.first_failure`, for a rule that passes every
-        positive dot (each exact rule does): a dot whose bound is positive
-        is passed without its exact value."""
+        positive dot (each exact rule does): a dot whose head bound or
+        leading-term bound is positive is passed without its exact value."""
         n = self.n
         h, t = self.heads, self.tails
         checked = 0
@@ -308,22 +503,31 @@ class ExactGram(_Kernel):
             low_j = ((np.diagonal(hs) - np.diagonal(ts) - hr - tr)[:, None]
                      + (hr - tr)[None, :] - hs - ts)
             pos_i, pos_j = low_i > 0, low_j > 0
-            unsure = np.triu(~(pos_i & pos_j & pos_j.T), k=1)
-            for x in np.flatnonzero(unsure).tolist():
-                y, z = divmod(x, m)
-                j, k = i + 1 + y, i + 1 + z
-                for (q, a, b), sure in zip(((i, j, k), (j, i, k), (k, i, j)),
-                                           (pos_i[y, z], pos_j[y, z],
-                                            pos_j[z, y])):
-                    if sure:
-                        continue
-                    dot = self.dot(q, a, b)
-                    if fails(dot):
-                        # the pairs (y', z') of this block up to (y, z)
-                        done = math.comb(m, 2) - math.comb(m - y, 2) + z - y
-                        return checked + done, (q, a, b), dot
+            y, z = np.nonzero(np.triu(~(pos_i & pos_j & pos_j.T), k=1))
+            # The angles of each unsure triple in sweep order: at i, j, k.
+            j, k, ii = i + 1 + y, i + 1 + z, np.full(y.shape, i)
+            q = np.stack((ii, j, k), 1)
+            a = np.stack((j, ii, ii), 1)
+            b = np.stack((k, k, j), 1)
+            sure = np.stack((pos_i[y, z], pos_j[y, z], pos_j[z, y]), 1)
+            if self.leads is not None:
+                rest = ~sure
+                lo, _, ok = self._lead_bounds(q[rest], a[rest], b[rest])
+                sure[rest] = ok & (lo > 0)
+            for u, c in zip(*(x.tolist() for x in np.nonzero(~sure))):
+                angle = (int(q[u, c]), int(a[u, c]), int(b[u, c]))
+                dot = self.dot(*angle)
+                if fails(dot):
+                    # the pairs (y', z') of this block up to (y, z)
+                    yu, zu = int(y[u]), int(z[u])
+                    done = math.comb(m, 2) - math.comb(m - yu, 2) + zu - yu
+                    return checked + done, angle, dot
             checked += math.comb(m, 2)
         return checked, None, None
+
+
+def _int_inner(xs, ys) -> int:
+    return sum(a * b for a, b in zip(xs, ys))
 
 
 def _int_sign3(a: int, b: int, c: int) -> int:

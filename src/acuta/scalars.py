@@ -3,7 +3,8 @@
 Two backends are supported: exact rationals (``"rational"``) and IEEE-754
 doubles (``"float64"``). Exact values are :class:`fractions.Fraction`, or
 :class:`Dyadic` where a value is too large for a dense Fraction (the scale
-ladder for d >= 6 needs exponents around 2**-(10**8) and beyond). All
+ladder for d >= 6 needs exponents around 2**-(10**8) and beyond); a point
+set that holds such a value keeps all of its Dyadic values sparse. All
 predicates downstream work with squared distances and inner products, so no
 square roots appear anywhere and exact values are never rounded.
 """
@@ -80,6 +81,20 @@ def dyadic_diff_sign(a: "Dyadic", b: "Dyadic", c: "Dyadic") -> int:
         acc[e] = get(e, 0) - x
     terms = [(e, acc[e]) for e in sorted(acc, reverse=True) if acc[e]]
     return _sign(terms, a.mass + b.mass + c.mass)
+
+
+def dyadic_inner(xs, ys) -> "Dyadic":
+    """Exactly sum(x * y) over pairs of Dyadics, in one pass: every product
+    c1 * c2 is added into one dict keyed by e1 + e2, and only the total
+    becomes a Dyadic."""
+    acc: dict = {}
+    get = acc.get
+    for x, y in zip(xs, ys):
+        for e1, c1 in x.terms:
+            for e2, c2 in y.terms:
+                e = e1 + e2
+                acc[e] = get(e, 0) + c1 * c2
+    return Dyadic._of_acc(acc)
 
 
 def head_split(x, shift: int):
@@ -307,7 +322,13 @@ def _as_dyadic(x):
 
 
 def as_exact(x) -> Union[Fraction, Dyadic]:
-    """Canonical exact value: a Fraction, or a Dyadic too large for one."""
+    """Canonical exact value: a Fraction, or a Dyadic too large for one.
+
+    This is the rule for a single value. A :class:`~acuta.geometry.PointSet`
+    applies it per set: a set that holds any Dyadic too large for a Fraction
+    keeps all of its Dyadic values sparse, so that its Gram entries stay
+    short sums of small terms; every other set holds Fractions only.
+    """
     if isinstance(x, Dyadic):
         return x.to_fraction() if x.fits_fraction() else x
     return Fraction(x)

@@ -6,10 +6,9 @@ the terminal (bypassing capture) before asserting.  The adaptive
 schedule's displacement scales collapse doubly exponentially with dimension
 (2**-12028 at d = 5), so float64 construction stops at d = 4 and criterion 1
 fails by design.  Exact construction runs on sparse dyadic values through
-d = 8; criterion 5 also asks for d = 9 and 10, whose exact scans (8.4e6 and
-6.7e7 apex dots) the construction refuses with its measured cost, so it
-fails on that cost.  The README's honest-limits section carries the
-analysis; the tests state the facts and fail rather than hiding them.
+d = 10, which criterion 5 asks for (6.7e7 apex dots at d = 10).  The
+README's honest-limits section carries the analysis; the tests state the
+facts and fail rather than hiding them.
 """
 
 import itertools

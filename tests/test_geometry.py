@@ -3,13 +3,15 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acuta import (Dyadic, GeometryError, PointSet, TripleWitness,
                    dot_at_apex, set_margin, squared_diameter, triangle_margin)
-from acuta.geometry import ExactGram
+from acuta.construct import hypercube_vertices, perturb_vertex
+from acuta.geometry import ExactGram, _keys, _lead_table
 from conftest import (naive_first_failure, naive_margin, naive_minima,
                       naive_slab, random_rational_points, random_rational_set)
 
@@ -62,6 +64,37 @@ class TestBasics:
     def test_set_margin_needs_three_points(self):
         with pytest.raises(GeometryError):
             set_margin(rat_ps((0, 0), (1, 1)))
+
+
+class TestSparseCoercion:
+    """A set keeps its Dyadic values sparse exactly when one of them is too
+    large for a Fraction; either way it equals and hashes like the same
+    set written with Fractions."""
+
+    def test_a_value_too_large_keeps_every_dyadic_sparse(self):
+        tiny = Dyadic.pow2(-10 ** 6)
+        fits = Dyadic([(0, 1), (-40, -3)])
+        mixed = PointSet(dim=2, points=((tiny, fits), (fits, F(1, 2)),
+                                        (F(0), F(3))), backend="rational")
+        dense = PointSet(dim=2, points=((tiny, fits.to_fraction()),
+                                        (fits.to_fraction(), F(1, 2)),
+                                        (F(0), F(3))), backend="rational")
+        assert [type(x) for p in mixed.points for x in p] == [
+            Dyadic, Dyadic, Dyadic, F, F, F]
+        assert [type(x) for p in dense.points for x in p] == [
+            Dyadic, F, F, F, F, F]
+        assert mixed == dense and hash(mixed) == hash(dense)
+        assert set_margin(mixed) == set_margin(dense)
+
+    def test_values_that_fit_become_fractions(self):
+        fits = Dyadic([(0, 1), (-40, -3)])
+        ps = PointSet(dim=2, points=((fits, F(0)), (F(0), fits),
+                                     (Dyadic.pow2(-3), F(1))),
+                      backend="rational")
+        assert all(type(x) is F for p in ps.points for x in p)
+        assert ps == PointSet(dim=2, points=tuple(
+            tuple(F(x) if isinstance(x, F) else x.to_fraction() for x in p)
+            for p in ps.points), backend="rational")
 
 
 class TestSetMargin:
@@ -259,3 +292,167 @@ class TestHeadFilter:
         pts = _fine_cube(seed, dim)
         assert ExactGram([[Dyadic.of(x) for x in p] for p in pts]).tails.any()
         self.check(pts, sparse=True)
+
+
+def _apex(dim):
+    return tuple([F(1, 2)] * (dim - 1) + [F(dim, 2)])
+
+
+def _deep_cube(seed, dim, lo, hi, coefs=(-3, -1, 1, 3)):
+    """Cube vertices and the apex over them, every cube coordinate moved by
+    c * 2**-k with c from ``coefs`` and k from [lo, hi]: the dots of the
+    originally right angles differ only far below 2**-H."""
+    rng = random.Random(seed)
+    pts = [tuple(x + Dyadic([(-rng.randint(lo, hi), rng.choice(coefs))])
+                 for x in vertex)
+           for vertex in itertools.product((0, 1), repeat=dim - 1)]
+    return [p + (F(0),) for p in pts] + [_apex(dim)]
+
+
+def _two_levels(dim, k, gap, coefs=(1, 3)):
+    """Cube vertices and the apex, each cube coordinate moved by c * 2**e
+    with e = -k, -k - gap or -k - 2 gap by the parities of the vertex and
+    the coordinate: the Gram exponents include neighbours ``gap`` apart."""
+    pts = []
+    for n, vertex in enumerate(itertools.product((0, 1), repeat=dim - 1)):
+        e = -k - gap * (n % 2)
+        pts.append(tuple(x + Dyadic([(e - (m % 2) * gap, coefs[m % 2])])
+                         for m, x in enumerate(vertex)) + (F(0),))
+    return pts + [_apex(dim)]
+
+
+def _exponents(gram):
+    return sorted({e for row in gram.g for x in row for e, _ in x.terms})
+
+
+class TestLeadingTermFilter:
+    """The leading-term keys decide which of the dots the heads leave reach
+    the exact test. Scans must equal the naive loops, and wherever a key
+    holds, the keys must order the exact values."""
+
+    @staticmethod
+    def keys_order_values(gram):
+        """The keys of every apex dot they hold for order it among the
+        others as its exact value does: a dot never reaches (with its upper
+        key) past the lower key of a dot at or below it, and a positive
+        lower key (negative upper key) means a positive (negative) dot.
+        Returns the numbers of dots the keys hold for and do not."""
+        n = gram.n
+        if gram.leads is None:
+            return 0, n * math.comb(n - 1, 2)
+        dots, lo, hi = [], [], []
+        undecided = 0
+        for q in range(n):
+            legs = [(i, j) for i, j in itertools.combinations(range(n), 2)
+                    if q not in (i, j)]
+            a, b = (np.array(x) for x in zip(*legs))
+            low, high, sure = gram._lead_bounds(q, a, b)
+            undecided += int((~sure).sum())
+            for t in np.flatnonzero(sure).tolist():
+                dots.append(gram.dot(q, *legs[t]))
+                lo.append(int(low[t]))
+                hi.append(int(high[t]))
+        for d, low, high in zip(dots, lo, hi):
+            assert low < high
+            assert (d > 0 or low <= 0) and (d < 0 or high >= 0)
+        order = sorted(range(len(dots)), key=dots.__getitem__)
+        rank = [0] * len(dots)
+        for s in range(1, len(order)):
+            t, u = order[s], order[s - 1]
+            rank[t] = rank[u] + (dots[t] != dots[u])
+        reach = [None] * (max(rank, default=0) + 1)
+        for t in order:     # largest lower key of a dot at this rank
+            r = rank[t]
+            reach[r] = lo[t] if reach[r] is None else max(reach[r], lo[t])
+        for r in range(1, len(reach)):      # ... or below it
+            reach[r] = max(reach[r], reach[r - 1])
+        for t in range(len(dots)):
+            assert hi[t] > reach[rank[t]]
+        return len(dots), undecided
+
+    @staticmethod
+    def check(points):
+        """Scans equal the naive loops, and the keys order the values.
+        Returns the gram and the numbers of dots the keys decide and not."""
+        TestHeadFilter.check(points)
+        gram = ExactGram(points)
+        return (gram,) + TestLeadingTermFilter.keys_order_values(gram)
+
+    @given(st.integers(0, 10 ** 6), st.integers(2, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_dots_that_differ_far_below_the_heads(self, seed, dim):
+        gram, decided, undecided = self.check(
+            _deep_cube(seed, dim, 10 ** 3, 10 ** 6))
+        assert gram.tails.any() and decided
+
+    @given(st.integers(0, 10 ** 6), st.integers(2, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_close_exponents_leave_leading_terms_unisolated(self, seed, dim):
+        # Exponents within a few bits of each other make leading terms
+        # that the next term can still outweigh, and cancel at the top.
+        gram, decided, undecided = self.check(
+            _deep_cube(seed, dim, 2000, 2003, coefs=(-7, -5, 5, 7)))
+        assert decided and undecided
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_ties_at_one_deep_exponent(self, dim):
+        # One ladder level for every vertex: a symmetric set whose margin
+        # is attained many times, at one exponent far below 2**-H.
+        s = Dyadic.pow2(-5000)
+        pts = [perturb_vertex(v, s)
+               for v in hypercube_vertices(dim).points] + [_apex(dim)]
+        gram = self.check(pts)[0]
+        assert len(gram.min_dots(range(gram.n))[1]) > 1
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_exponent_gaps_around_the_cap(self, offset):
+        cap = ExactGram(_two_levels(4, 3000, 500)).leads.bits
+        pts = _two_levels(4, 3000, cap + offset)
+        gram = self.check(pts)[0]
+        assert gram.leads.bits == cap
+        assert cap + offset in np.diff(_exponents(gram))
+
+    def test_leading_terms_a_binade_apart(self):
+        # The two smallest dots, at apex 0, are A = 2**(e+1) - 3 * 2**(e-2)
+        # and B = 2**e + 3 * 2**(e-3) with A < B, although A's leading term
+        # is twice B's: only the half-unit slack keeps A from being cut.
+        e = -1000
+        a = Dyadic([(e + 1, 1), (e - 2, -3)])
+        b = Dyadic([(e, 1), (e - 3, 3)])
+        pts = [(F(0), F(0), F(0)), (F(1), F(0), F(0)), (a, F(1), F(0)),
+               (b, F(1, 2), F(1))]
+        gram = self.check(pts)[0]
+        assert gram.value(gram.min_dots(range(4))[0]) == a < b
+
+    @pytest.mark.parametrize("gap", [1, 2, 3, 4, 5, 6, 40])
+    def test_capped_positions_order_every_pair_of_ends(self, gap):
+        # Unit entries (mass 1, so C = bitlen(9) = 4) at exponents whose
+        # neighbours lie gap, C - 1, C and C + 1 apart; every odd a, b up to
+        # 2 * 4 + 1 must compare at their positions as at their exponents.
+        exps = [0, -gap, -gap - 3, -gap - 7, -gap - 12]
+        g = [[Dyadic.pow2(exps[min(i, j)]) for j in range(5)]
+             for i in range(5)]
+        leads = _lead_table(g)
+        assert leads.bits == 4
+        at = {x.terms[0][0]: int(w[0] >> 25)
+              for row, words in zip(g, leads.words) for x, w in zip(row, words)}
+        odd = np.array([a for a in range(-9, 10, 2)])
+        for e1, e2 in itertools.product(at, repeat=2):
+            k1 = _keys(odd, np.full(odd.shape, at[e1]), leads.bits)
+            k2 = _keys(odd, np.full(odd.shape, at[e2]), leads.bits)
+            for a, x in zip(odd.tolist(), k1.tolist()):
+                for b, y in zip(odd.tolist(), k2.tolist()):
+                    u, v = F(a) * F(2) ** e1, F(b) * F(2) ** e2
+                    assert (x > y, x == y) == (u > v, u == v)
+
+    @given(st.integers(0, 10 ** 6), st.integers(3, 4))
+    @settings(max_examples=15, deadline=None)
+    def test_entries_too_large_to_pack(self, seed, dim):
+        # A coefficient of 2**13 + 1 gives point 0 a squared norm of mass
+        # over 2**24: the dots at apex 0 go to the exact test, the others
+        # still use their keys.
+        pts = _deep_cube(seed, dim, 10 ** 3, 10 ** 4)
+        pts[0] = (Dyadic([(-1500, 2 ** 13 + 1)]),) + pts[0][1:]
+        gram, decided, undecided = self.check(pts)
+        assert not gram.leads.ok[0, 0] and gram.leads.ok.any()
+        assert decided and undecided
