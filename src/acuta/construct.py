@@ -562,9 +562,10 @@ def construct_full(cfg: ConstructionConfig):
     Returns ``(point_set, trace, report)``. Raises ConstructionError if the
     pairwise guard |x_i - x_j|^2 < 2 ((d-1)/4 + c^2) fails on the cube part
     or if the final certification does not come back acute. Guard and
-    certificate share one kernel of the full set.
+    certificate share one kernel of the full set (see
+    :func:`~acuta.geometry.kernel`).
     """
-    from .verify import _certify_acute  # deferred: verify must not need us
+    from .verify import verify_acute  # deferred: verify must not need us
 
     cube, trace = construct_acute_cube(cfg)
     d = cfg.dim
@@ -591,7 +592,7 @@ def construct_full(cfg: ConstructionConfig):
                     f"2((d-1)/4 + c^2) = {lim}; the apex angle over this "
                     "pair could not be certified acute")
 
-    report = _certify_acute(full, gram)
+    report = verify_acute(full)
     if not report.verdict:
         w = report.witness.indices() if report.witness else None
         raise ConstructionError(

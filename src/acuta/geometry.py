@@ -28,11 +28,16 @@ sparse entries, costly) sign test:
 
 float64 sets use :class:`FloatGram`, which takes every inner product
 between differences from the apex.
+
+Consecutive scans of one :class:`PointSet` object share its kernel:
+:func:`kernel` keeps the last set's kernel, and at most that one outlives
+its call, until the set dies or another set is scanned.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Tuple
@@ -231,7 +236,14 @@ def _lead_table(g) -> Optional[_Leads]:
     table[i, j] = table[j, i] = words
     ok = np.zeros((n, n), dtype=bool)
     ok[i, j] = ok[j, i] = True
-    return _Leads(table, ok, bits)
+    return _Leads(_frozen(table), _frozen(ok), bits)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, read-only: a kernel is shared between scans (:func:`kernel`)
+    and none of them may change it."""
+    arr.flags.writeable = False
+    return arr
 
 
 def _keys(a, x, bits: int):
@@ -321,8 +333,10 @@ class ExactGram(_Kernel):
             self._sign3 = dyadic_diff_sign
             inner = dyadic_inner
         else:
-            den = math.lcm(*(x.denominator for p in points for x in p))
-            rows = [[x.numerator * (den // x.denominator) for x in p]
+            dens = {x.denominator for p in points for x in p}
+            den = math.lcm(*dens)
+            scale = {q: den // q for q in dens}
+            rows = [[x.numerator * scale[x.denominator] for x in p]
                     for p in points]
             self._d2 = den * den
             self._sign3 = _int_sign3
@@ -345,7 +359,7 @@ class ExactGram(_Kernel):
         upper = np.triu_indices(n, k=1)
         heads[upper] = heads.T[upper]
         tails[upper] = tails.T[upper]
-        self.heads, self.tails = heads, tails
+        self.heads, self.tails = _frozen(heads), _frozen(tails)
         self.leads = _lead_table(g) if self._d2 is None else None
 
     def value(self, raw) -> RawScalar:
@@ -547,7 +561,7 @@ class FloatGram(_Kernel):
 
     def __init__(self, points: Sequence[Point]):
         self.points = points
-        self.arr = np.asarray(points, dtype=np.float64)
+        self.arr = _frozen(np.asarray(points, dtype=np.float64))
         self.n = len(points)
 
     def value(self, raw) -> RawScalar:
@@ -584,11 +598,37 @@ class FloatGram(_Kernel):
         return best, args
 
 
-def kernel(ps: PointSet):
-    """The scan kernel of a point set's backend."""
-    if ps.backend == FLOAT64:
-        return FloatGram(ps.points)
-    return ExactGram(ps.points)
+# The last set :func:`kernel` served, as a weak reference, and its kernel.
+_last: Tuple[Optional[weakref.ref], Optional[_Kernel]] = (None, None)
+
+
+def _forget(ref: weakref.ref) -> None:
+    global _last
+    if _last[0] is ref:
+        _last = (None, None)
+
+
+def kernel(ps: PointSet) -> _Kernel:
+    """The scan kernel of a point set's backend, shared by consecutive calls
+    on the same set.
+
+    The kernel of the last set served is kept, under a weak reference to
+    that set, and a call on the same object returns it, so a certificate
+    and the re-checks that follow it build one Gram matrix. A call on any
+    other set (an equal copy too) first drops the kept kernel, then builds.
+    At most one kernel outlives its call, and it goes when its set dies or
+    another set is scanned. The kept d = 8 ladder kernel holds 5.7 MB and
+    the d = 10 one 104 MB (tracemalloc). Its arrays are read-only, so no
+    scan can change what the next one sees.
+    """
+    global _last
+    ref, k = _last      # one read: a racing call costs a build, never a mix
+    if ref is not None and ref() is ps:
+        return k
+    _last = (None, None)
+    k = FloatGram(ps.points) if ps.backend == FLOAT64 else ExactGram(ps.points)
+    _last = (weakref.ref(ps, _forget), k)
+    return k
 
 
 def squared_diameter(ps: PointSet) -> RawScalar:

@@ -5,6 +5,10 @@ Every scan runs on the kernel of the set's backend,
 :func:`acuta.geometry.kernel` (:class:`~acuta.geometry.ExactGram` or
 :class:`~acuta.geometry.FloatGram`), which ``set_margin`` shares, the
 early-exit verdict sweep included; this module only assembles reports.
+Consecutive checks of one set share its kernel: ``kernel`` keeps at most
+one kernel past its call, the last set's, until that set dies or another
+set is scanned, so a margin, verdict and slab check of the same object
+build one Gram matrix.
 The independent check of the kernels is the naive triple loop
 ``naive_margin`` in the test suite, which acceptance criterion 8 compares
 against bit for bit. ``threads`` is accepted and ignored.
@@ -56,9 +60,8 @@ class VerificationReport:
     elapsed: float
 
 
-def _setup(ps: PointSet, tolerance: Optional[Tolerance], gram=None):
-    """Scan kernel (``gram``, if the caller built it already), squared
-    diameter and strict margin in raw units.
+def _setup(ps: PointSet, tolerance: Optional[Tolerance]):
+    """Scan kernel, squared diameter and strict margin in raw units.
 
     Exact tolerances are pinned to zero and raw exact values carry the true
     sign, so exact predicates compare raw values against the int 0; raw
@@ -66,7 +69,7 @@ def _setup(ps: PointSet, tolerance: Optional[Tolerance], gram=None):
     """
     if len(ps) < 3:
         raise ValueError("verification needs at least 3 points")
-    gram = kernel(ps) if gram is None else gram
+    gram = kernel(ps)
     sqd = gram.value(gram.max_sqdist())
     exact = ps.backend == RATIONAL
     tol = tolerance if tolerance is not None else (
@@ -79,11 +82,11 @@ def _setup(ps: PointSet, tolerance: Optional[Tolerance], gram=None):
 
 
 def _angle_check(ps: PointSet, check: str, tolerance: Optional[Tolerance],
-                 mode: str, fail_rule, gram=None) -> VerificationReport:
+                 mode: str, fail_rule) -> VerificationReport:
     if mode not in ("margin", "verdict"):
         raise ValueError(f"unknown mode: {mode!r}")
     start = time.perf_counter()
-    gram, sqd, strict = _setup(ps, tolerance, gram)
+    gram, sqd, strict = _setup(ps, tolerance)
     fails = fail_rule(strict)
 
     if mode == "margin":
@@ -105,15 +108,6 @@ def _angle_check(ps: PointSet, check: str, tolerance: Optional[Tolerance],
         backend=ps.backend, elapsed=time.perf_counter() - start)
 
 
-def _not_acute(strict):
-    return lambda dot: not dot > strict
-
-
-def _certify_acute(ps: PointSet, gram) -> VerificationReport:
-    """``verify_acute(ps)`` on a kernel of ``ps`` the caller already built."""
-    return _angle_check(ps, "acute", None, "margin", _not_acute, gram)
-
-
 def verify_acute(ps: PointSet, tolerance: Optional[Tolerance] = None,
                  mode: str = "margin",
                  threads: Optional[int] = None) -> VerificationReport:
@@ -123,7 +117,8 @@ def verify_acute(ps: PointSet, tolerance: Optional[Tolerance] = None,
     the exact minimum with a deterministic witness; ``"verdict"`` mode may
     stop at the first violation (a pass still scans everything).
     """
-    return _angle_check(ps, "acute", tolerance, mode, _not_acute)
+    return _angle_check(ps, "acute", tolerance, mode,
+                        lambda strict: (lambda dot: not dot > strict))
 
 
 def verify_nonobtuse(ps: PointSet, tolerance: Optional[Tolerance] = None,

@@ -1,6 +1,10 @@
+import dataclasses
 import itertools
 import math
 import random
+import sys
+import threading
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +14,12 @@ from hypothesis import strategies as st
 
 from acuta import (Dyadic, GeometryError, PointSet, TripleWitness,
                    dot_at_apex, set_margin, squared_diameter, triangle_margin)
-from acuta.construct import hypercube_vertices, perturb_vertex
-from acuta.geometry import ExactGram, _keys, _lead_table
+from acuta import geometry
+from acuta.construct import (ConstructionConfig, construct_full,
+                             hypercube_vertices, perturb_vertex, safe_radius)
+from acuta.geometry import ExactGram, _keys, _lead_table, kernel
+from acuta.verify import (verify_acute, verify_antipodal_witness,
+                          verify_nonobtuse)
 from conftest import (naive_first_failure, naive_margin, naive_minima,
                       naive_slab, random_rational_points, random_rational_set)
 
@@ -208,6 +216,22 @@ class TestExactGram:
         (s1, w1), (s2, w2) = dense.min_slab(), sparse.min_slab()
         assert dense.value(s1) == sparse.value(s2) and w1 == w2
         assert dense.value(dense.max_sqdist()) == sparse.value(sparse.max_sqdist())
+
+    @given(st.integers(0, 10 ** 6), st.integers(2, 12), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_integer_rows_scale_by_the_common_denominator(self, seed, n, dim):
+        # Denominators repeat across coordinates; every entry must still be
+        # D**2 times the true inner product, D the lcm of all denominators.
+        rng = random.Random(seed)
+        pts = {tuple(F(rng.randint(-50, 50), rng.choice((1, 3, 4, 7, 12, 35)))
+                     for _ in range(dim)) for _ in range(n)}
+        pts = sorted(pts)
+        gram = ExactGram(pts)
+        den = math.lcm(*(x.denominator for p in pts for x in p))
+        assert gram.value(1) == F(1, den * den)
+        for i, j in itertools.product(range(len(pts)), repeat=2):
+            assert gram.g[i][j] == den * den * sum(
+                a * b for a, b in zip(pts[i], pts[j]))
 
     def test_huge_dyadic_cannot_mix_with_non_dyadic_values(self):
         pts = [(Dyadic.pow2(-10 ** 8), F(0)), (F(1, 3), F(0)), (F(0), F(1))]
@@ -456,3 +480,147 @@ class TestLeadingTermFilter:
         gram, decided, undecided = self.check(pts)
         assert not gram.leads.ok[0, 0] and gram.leads.ok.any()
         assert decided and undecided
+
+
+class TestKernelReuse:
+    """Consecutive scans of one set share its kernel (``geometry.kernel``)."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = [0]
+        init = ExactGram.__init__
+
+        def counted(self, points):
+            count[0] += 1
+            init(self, points)
+        monkeypatch.setattr(ExactGram, "__init__", counted)
+        return count
+
+    def test_a_certificate_and_its_rechecks_build_once(self, builds):
+        full, _, rep = construct_full(ConstructionConfig(dim=6))
+        verify_acute(full, mode="verdict")
+        verify_nonobtuse(full)
+        verify_antipodal_witness(full)
+        set_margin(full)
+        squared_diameter(full)
+        safe_radius(full, rep.margin)
+        assert builds[0] == 1
+
+    def test_alternating_sets_rebuild_each_time(self, builds):
+        a = random_rational_set(1, 10, 3)
+        b = random_rational_set(2, 10, 3)
+        for ps in (a, b, a, b):
+            set_margin(ps)
+        assert builds[0] == 4
+        verify_acute(b, mode="verdict")
+        verify_antipodal_witness(b)
+        assert builds[0] == 4
+
+    @pytest.mark.parametrize("backend", ["rational", "float64"])
+    def test_an_equal_copy_gets_its_own_kernel_and_the_same_reports(
+            self, builds, backend):
+        a = random_rational_set(3, 12, 3)
+        if backend == "float64":
+            a = PointSet(dim=3, backend=backend,
+                         points=[[float(x) for x in p] for p in a.points])
+        b = PointSet(dim=a.dim, points=a.points, backend=a.backend)
+        assert a == b and a is not b
+
+        def reports(ps):
+            return [dataclasses.replace(r, elapsed=0.0) for r in (
+                verify_acute(ps), verify_acute(ps, mode="verdict"),
+                verify_nonobtuse(ps, mode="verdict"),
+                verify_antipodal_witness(ps))]
+        ka = kernel(a)
+        first = reports(a)
+        kb = kernel(b)
+        assert kb is not ka
+        assert reports(b) == first
+        assert builds[0] == (2 if backend == "rational" else 0)
+
+
+class TestKernelSlot:
+    def test_the_kept_kernel_dies_with_its_set(self):
+        ps = random_rational_set(4, 9, 3)
+        verify_acute(ps)
+        kept = weakref.ref(kernel(ps))
+        assert geometry._last[1] is kept()
+        del ps
+        assert geometry._last == (None, None)
+        assert kept() is None
+
+    def test_another_set_replaces_the_kept_kernel(self):
+        a, b = random_rational_set(5, 9, 3), random_rational_set(6, 9, 3)
+        kept = weakref.ref(kernel(a))
+        kernel(b)
+        assert kept() is None and geometry._last[1] is kernel(b)
+
+    def test_a_build_starts_with_an_empty_slot(self, monkeypatch):
+        # The kept kernel is dropped before the next one is built, so two
+        # kernels are never alive at once.
+        seen = []
+        init = ExactGram.__init__
+
+        def watched(self, points):
+            seen.append(geometry._last)
+            init(self, points)
+        monkeypatch.setattr(ExactGram, "__init__", watched)
+        a, b = random_rational_set(8, 9, 3), random_rational_set(9, 9, 3)
+        set_margin(a)
+        set_margin(b)
+        assert seen == [(None, None)] * 2
+
+    def test_threads_only_ever_get_their_own_sets_kernel(self):
+        # Four threads on two cores scan a shared set and their own, with
+        # a tiny switch interval: a race may cost builds, never a wrong
+        # kernel, so every margin must match its set.
+        sets = [random_rational_set(10 + k, 8, 3) for k in range(5)]
+        want = [naive_margin(ps.points)[0] for ps in sets]
+        wrong = []
+
+        def work(mine):
+            for step in range(200):
+                k = mine if step % 2 else 0
+                try:
+                    if set_margin(sets[k])[0] != want[k]:
+                        wrong.append(k)
+                except Exception as exc:        # a kernel of no set
+                    wrong.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(1, 5)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+
+    def test_kernel_arrays_are_read_only(self):
+        ps = random_rational_set(7, 9, 3)
+        sparse = ExactGram(_deep_cube(7, 3, 10 ** 3, 10 ** 4))
+        arrays = [kernel(ps).heads, kernel(ps).tails, sparse.heads,
+                  sparse.leads.words, sparse.leads.ok,
+                  kernel(hypercube_vertices(3, "float64")).arr]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+
+    @given(st.integers(0, 10 ** 6), st.integers(3, 4))
+    @settings(max_examples=10, deadline=None)
+    def test_scans_leave_a_sparse_kernel_unchanged(self, seed, dim):
+        # _lead_bounds negates and sorts a gathered copy of the table, never
+        # the table itself.
+        gram = ExactGram(_deep_cube(seed, dim, 10 ** 3, 10 ** 4))
+        before = [a.copy() for a in (gram.heads, gram.tails,
+                                     gram.leads.words, gram.leads.ok)]
+        gram.min_dots(range(gram.n))
+        gram.first_failure(_not_acute)
+        gram.max_sqdist()
+        after = (gram.heads, gram.tails, gram.leads.words, gram.leads.ok)
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
