@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Survey construction margins across dimensions, schedules, and backends.
+"""Survey construction margins across dimensions and backends.
 
 Usage: python3 scripts/margin_survey.py [--dmax 6]
 
-Prints one line per (d, schedule, backend) combination: either the certified
-margin or the reason construction failed. Useful for seeing at a glance
-where each schedule stops working and why.
+Prints one line per (d, backend) combination: either the certified margin
+or the reason construction failed. Useful for seeing at a glance where each
+backend stops working and why.
 """
 import argparse
 import time
@@ -23,22 +23,19 @@ def main():
 
     print("== construction survey ==")
     for d in range(2, args.dmax + 1):
-        for schedule in ("adaptive", "geometric"):
-            for backend in ("rational", "float64"):
-                cfg = ConstructionConfig(dim=d, backend=backend,
-                                         schedule=schedule)
-                t0 = time.perf_counter()
-                try:
-                    ps, _trace, report = construct_full(cfg)
-                    el = time.perf_counter() - t0
-                    print(f"d={d} {schedule:9s} {backend:8s}: "
-                          f"n={len(ps)} margin={fmt_margin(report.margin)} "
-                          f"({el:.2f}s)")
-                except ConstructionError as exc:
-                    el = time.perf_counter() - t0
-                    reason = str(exc).split(";")[0].split(":")[0]
-                    print(f"d={d} {schedule:9s} {backend:8s}: "
-                          f"FAILED ({el:.2f}s) - {reason}")
+        for backend in ("rational", "float64"):
+            cfg = ConstructionConfig(dim=d, backend=backend)
+            t0 = time.perf_counter()
+            try:
+                ps, _trace, report = construct_full(cfg)
+                el = time.perf_counter() - t0
+                print(f"d={d} {backend:8s}: "
+                      f"n={len(ps)} margin={fmt_margin(report.margin)} "
+                      f"({el:.2f}s)")
+            except ConstructionError as exc:
+                el = time.perf_counter() - t0
+                reason = str(exc).split(";")[0].split(":")[0]
+                print(f"d={d} {backend:8s}: FAILED ({el:.2f}s) - {reason}")
 
     print()
     print("== single-step lemma minima ==")

@@ -46,8 +46,7 @@ def main():
     for ell, k in enumerate(ks):
         print(f"  level {ell}: s = 2^-{k}")
 
-    cfg = ConstructionConfig(dim=args.dim, backend="rational",
-                             schedule="adaptive")
+    cfg = ConstructionConfig(dim=args.dim, backend="rational")
     t0 = time.perf_counter()
     ps, trace, report = construct_full(cfg)
     t_build = time.perf_counter() - t0

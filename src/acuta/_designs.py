@@ -1,4 +1,4 @@
-"""Frozen numeric designs used by the adaptive construction path.
+"""Frozen numeric designs used by :func:`acuta.construct.construct_acute_cube`.
 
 The low-dimensional configurations below were found by direct nonlinear
 search over perturbations of the unit hypercube (softmin margin ascent with

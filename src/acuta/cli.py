@@ -74,9 +74,8 @@ def _report_obj(report) -> dict:
 
 def cmd_generate(args) -> int:
     backend = RATIONAL if args.mode == "exact" else FLOAT64
-    cfg = ConstructionConfig(
-        dim=args.dim, backend=backend, schedule=args.schedule,
-        s1=args.s1, gamma=args.gamma, apex_height=args.apex_height)
+    cfg = ConstructionConfig(dim=args.dim, backend=backend,
+                             apex_height=args.apex_height)
     ps, trace, report = construct_full(cfg)
     if args.out:
         if args.format == "csv":
@@ -134,12 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="build and certify a set")
     g.add_argument("dim", type=int)
     g.add_argument("--mode", choices=("exact", "float"), default="exact")
-    g.add_argument("--schedule", choices=("adaptive", "geometric"),
-                   default="adaptive")
-    g.add_argument("--s1", default=None,
-                   help="first step scale for the geometric schedule")
-    g.add_argument("--gamma", default=None,
-                   help="decay rate for the geometric schedule")
     g.add_argument("--apex-height", dest="apex_height", default=None,
                    help="apex height c (default d/2); needs c^2 > (d-1)/4")
     g.add_argument("--out", default=None)

@@ -6,20 +6,12 @@ little, plus one apex raised over the cube's center. Right angles are native
 to the cube, so the whole game is displacing vertices without creating new
 bad angles while destroying all the old ones.
 
-Two schedules are offered:
+The cube part is chosen per dimension: frozen searched designs for
+d <= 4, and for 5 <= d <= 10 an exact scale ladder whose coordinates are
+sparse :class:`Dyadic` sums. Beyond d = 10, and for float64 beyond d = 4,
+construction raises ConstructionError with the measured numbers.
 
-* ``"geometric"`` sweeps the vertices in lexicographic order and displaces
-  vertex i with the coupled step of scale ``s_1 * gamma**i``, halving ``s_1``
-  and restarting (up to ``max_retries`` times) whenever the sweep fails to
-  end acute. This is the transparent, schedule-driven path; for most
-  dimensions it fails honestly (see the module notes below).
-* ``"adaptive"`` returns a certified configuration chosen per dimension:
-  frozen searched designs for d <= 4, and for 5 <= d <= 10 an exact scale
-  ladder whose coordinates are sparse :class:`Dyadic` sums. Beyond d = 10,
-  and for float64 beyond d = 4, it raises ConstructionError with the
-  measured numbers.
-
-Why the split: the coupled one-vertex step repairs every right angle it
+Why a ladder: the coupled one-vertex step repairs every right angle it
 touches, but its Case-2 repairs are worth only ~(d-1)*a**2, fourth order in
 the step scale. Each later vertex must therefore move *cubically* less than
 the one before it, and with ``2**(d-2)`` antipodal classes to separate the
@@ -66,7 +58,7 @@ __all__ = [
 
 
 class ConstructionError(RuntimeError):
-    """A schedule could not produce (or certify) the requested set."""
+    """The requested set is out of reach, or failed its guard or certificate."""
 
 
 def _coupled(mu: int, s: RawScalar) -> Tuple[RawScalar, RawScalar]:
@@ -89,44 +81,21 @@ class ConstructionConfig:
 
     dim: int
     backend: Backend = RATIONAL
-    schedule: str = "adaptive"
-    s1: Optional[RawScalar] = None
-    gamma: Optional[RawScalar] = None
     apex_height: Optional[RawScalar] = None
-    max_retries: int = 40
 
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
         if self.backend not in (RATIONAL, FLOAT64):
             raise ValueError(f"unknown backend: {self.backend!r}")
-        if self.schedule not in ("adaptive", "geometric"):
-            raise ValueError(f"unknown schedule: {self.schedule!r}")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-
-        if self.schedule == "geometric":
-            s1 = Fraction(1, 10) if self.s1 is None else Fraction(self.s1)
-            gamma = Fraction(1, 4) if self.gamma is None else Fraction(self.gamma)
-            if not s1 > 0:
-                raise ValueError("geometric schedule needs s1 > 0")
-            if not (0 < gamma < 1):
-                raise ValueError("geometric schedule needs 0 < gamma < 1")
-            object.__setattr__(self, "s1", self._num(s1))
-            object.__setattr__(self, "gamma", self._num(gamma))
-        else:
-            if self.s1 is not None or self.gamma is not None:
-                raise ValueError("s1/gamma only apply to the geometric schedule")
 
         c = Fraction(self.dim, 2) if self.apex_height is None \
             else Fraction(self.apex_height)
         if not 4 * c * c > self.dim - 1:
             raise ValueError(
                 f"apex_height {c} violates c^2 > (d-1)/4 (boundary included)")
-        object.__setattr__(self, "apex_height", self._num(c))
-
-    def _num(self, x: Fraction) -> RawScalar:
-        return x if self.backend == RATIONAL else float(x)
+        object.__setattr__(self, "apex_height",
+                           c if self.backend == RATIONAL else float(c))
 
 
 @dataclass(frozen=True)
@@ -136,8 +105,7 @@ class TraceStep:
     ``s`` is the coupled scale of the step, ``a`` and ``b`` its in-plane and
     lift components. For table-design steps the displacement is free-form and
     ``s`` is the nominal scale ``eps/(d-1)`` of a coupled step with the same
-    displacement bound; for ladder and geometric steps ``s`` is the scale
-    actually applied.
+    displacement bound; for ladder steps ``s`` is the scale actually applied.
     """
 
     index: int
@@ -402,10 +370,11 @@ def _nominal_trace(dim: int, backend: Backend,
 
 
 # ---------------------------------------------------------------------------
-# schedules
+# construction
 
 
-def _adaptive(cfg: ConstructionConfig) -> Tuple[PointSet, ConstructionTrace]:
+def construct_acute_cube(cfg: ConstructionConfig) -> Tuple[PointSet, ConstructionTrace]:
+    """Displaced cube part only (no apex), with its construction trace."""
     d = cfg.dim
     if _designs.has_design(d):
         rows = _designs.design_cube_points(d)
@@ -422,7 +391,7 @@ def _adaptive(cfg: ConstructionConfig) -> Tuple[PointSet, ConstructionTrace]:
     if cfg.backend == FLOAT64:
         # float64 bottoms out near 2**-1074.
         raise ConstructionError(
-            f"adaptive construction at d = {d} needs displacement scales far "
+            f"construction at d = {d} needs displacement scales far "
             f"below the float64 range (its deepest ladder scale is "
             f"2**-{_deepest_exponent(d)}); use the rational "
             f"backend for d <= {_designs.LADDER_MAX_DIM}")
@@ -431,7 +400,7 @@ def _adaptive(cfg: ConstructionConfig) -> Tuple[PointSet, ConstructionTrace]:
         dots, dots_top = _apex_dots(d), _apex_dots(top)
         secs = _designs.LADDER_MAX_DIM_SECONDS
         raise ConstructionError(
-            f"adaptive construction at d = {d} is beyond the ladder's limit "
+            f"construction at d = {d} is beyond the ladder's limit "
             f"d = {top}: certifying its {2 ** (d - 1) + 1} points takes "
             f"{dots:,} exact apex dots and its deepest ladder scale is "
             f"2**-{_deepest_exponent(d)}; d = {top} checks {dots_top:,} dots "
@@ -498,62 +467,9 @@ def _ladder(cfg: ConstructionConfig) -> Tuple[PointSet, ConstructionTrace]:
     return ps, trace
 
 
-def _cube_all_acute(pts: List[Point]) -> bool:
-    """Early-exit scan used only inside the geometric sweep."""
-    return not any(triangle_has_nonacute(*t)
-                   for t in itertools.combinations(pts, 3))
-
-
 def triangle_has_nonacute(a: Point, b: Point, c: Point) -> bool:
     return (dot_at_apex(a, b, c) <= 0 or dot_at_apex(b, a, c) <= 0
             or dot_at_apex(c, a, b) <= 0)
-
-
-def _geometric(cfg: ConstructionConfig) -> Tuple[PointSet, ConstructionTrace]:
-    d = cfg.dim
-    mu = d - 1
-    originals = hypercube_vertices(d, cfg.backend).points
-    n = len(originals)
-    two = Fraction(2) if cfg.backend == RATIONAL else 2.0
-
-    s1 = cfg.s1
-    for attempt in range(cfg.max_retries + 1):
-        base = s1 / (two ** attempt) if attempt else s1
-        moved: List[Point] = []
-        s_list: List[RawScalar] = []
-        feasible = True
-        s = base
-        for i in range(n):
-            if not (s > 0 and mu * s * s < 1):
-                feasible = False
-                break
-            moved.append(perturb_vertex(originals[i], s))
-            s_list.append(s)
-            s = s * cfg.gamma
-        if feasible and len(set(moved)) == n and (n < 3 or _cube_all_acute(moved)):
-            d2 = [dot_at_apex(o, m, m) for o, m in zip(originals, moved)]
-            if cfg.backend == RATIONAL:
-                eps = _sqrt_upper_common(d2)
-            else:
-                eps = [math.nextafter(math.sqrt(x), math.inf) for x in d2]
-            trace = _make_trace(d, cfg.backend, list(range(n)), eps, s_list)
-            ps = PointSet(dim=d, points=tuple(moved), backend=cfg.backend,
-                          provenance={"schedule": "geometric",
-                                      "attempt": attempt})
-            return ps, trace
-    raise ConstructionError(
-        f"geometric schedule failed at d = {d} after {cfg.max_retries} "
-        "halvings of s1: every sweep left a non-acute triple. The sweep's "
-        "repairs are fourth order in the step scale while its damage is "
-        "first order, so a single geometric decay rate cannot separate "
-        "the antipodal classes; this failure is expected for d >= 3")
-
-
-def construct_acute_cube(cfg: ConstructionConfig) -> Tuple[PointSet, ConstructionTrace]:
-    """Displaced cube part only (no apex), with its construction trace."""
-    if cfg.schedule == "adaptive":
-        return _adaptive(cfg)
-    return _geometric(cfg)
 
 
 def construct_full(cfg: ConstructionConfig):

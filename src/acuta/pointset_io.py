@@ -123,10 +123,14 @@ def _trace_to_obj(trace: ConstructionTrace) -> dict:
     }
 
 
-def _trace_from_obj(obj) -> ConstructionTrace:
+def _trace_from_obj(obj, dim: int, backend: str) -> ConstructionTrace:
+    """Parse a trace, which must name the ``dim`` and ``backend`` of its set."""
     try:
-        backend = obj["backend"]
-        dim = obj["dim"]
+        if obj["dim"] != dim or obj["backend"] != backend:
+            raise ParseError(
+                f"trace is for dim {obj['dim']!r}, backend "
+                f"{obj['backend']!r}; the set has dim {dim}, backend "
+                f"{backend!r}")
         steps = tuple(
             TraceStep(index=int(st["index"]),
                       eps=_parse_coord(st["eps"], backend),
@@ -135,7 +139,7 @@ def _trace_from_obj(obj) -> ConstructionTrace:
                       b=_parse_coord(st["b"], backend))
             for st in obj["steps"]
         )
-        return ConstructionTrace(dim=int(dim), backend=backend,
+        return ConstructionTrace(dim=dim, backend=backend,
                                  vertex_order=tuple(int(i) for i in obj["vertex_order"]),
                                  steps=steps)
     except ParseError:
@@ -216,7 +220,7 @@ def _load_json(text: str) -> Tuple[PointSet, Optional[ConstructionTrace]]:
         raise ParseError(str(exc)) from exc
     trace = None
     if "trace" in obj and obj["trace"] is not None:
-        trace = _trace_from_obj(obj["trace"])
+        trace = _trace_from_obj(obj["trace"], dim, backend)
     return ps, trace
 
 

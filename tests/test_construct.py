@@ -156,30 +156,28 @@ class TestConfig:
     def test_defaults(self):
         cfg = ConstructionConfig(dim=4)
         assert cfg.backend == "rational"
-        assert cfg.schedule == "adaptive"
         assert cfg.apex_height == F(2)
 
-    def test_geometric_defaults(self):
-        cfg = ConstructionConfig(dim=3, schedule="geometric")
-        assert cfg.s1 == F(1, 10)
-        assert cfg.gamma == F(1, 4)
-
     def test_float_backend_coerces(self):
-        cfg = ConstructionConfig(dim=3, backend="float64",
-                                 schedule="geometric", s1="1/8")
-        assert cfg.s1 == 0.125
+        cfg = ConstructionConfig(dim=3, backend="float64")
         assert isinstance(cfg.apex_height, float)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(dim=1),
-        dict(dim=3, backend="decimal"),
-        dict(dim=3, schedule="annealed"),
-        dict(dim=3, schedule="geometric", s1="0"),
-        dict(dim=3, schedule="geometric", gamma="1"),
-        dict(dim=3, schedule="geometric", gamma="-1/2"),
-        dict(dim=3, s1="1/10"),             # adaptive takes no s1
-        dict(dim=5, apex_height="1"),       # boundary exactly
-        dict(dim=3, max_retries=-1),
+        dict(schedule="geometric"),
+        dict(s1="1/10"),
+        dict(gamma="1/4"),
+        dict(max_retries=40),
+    ])
+    def test_removed_keywords_raise_type_error(self, kwargs):
+        with pytest.raises(TypeError):
+            ConstructionConfig(dim=3, **kwargs)
+
+    # Fixed ids: each case keeps the name it has always printed under.
+    @pytest.mark.parametrize("kwargs", [
+        pytest.param(dict(dim=1), id="kwargs0"),
+        pytest.param(dict(dim=3, backend="decimal"), id="kwargs1"),
+        pytest.param(dict(dim=5, apex_height="1"),   # boundary exactly
+                     id="kwargs7"),
     ])
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -307,32 +305,6 @@ class TestAdaptive:
         with pytest.raises(ConstructionError,
                            match=rf"guard failed: \|x_0 - x_1\|\^2 = {shown} "):
             construct_full(cfg)
-
-
-class TestGeometric:
-    def test_d2_succeeds(self):
-        ps, trace, report = construct_full(
-            ConstructionConfig(dim=2, schedule="geometric"))
-        assert report.verdict
-        assert len(ps) == 3
-        assert trace.vertex_order == (0, 1)
-
-    def test_d2_trace_scales_decay_geometrically(self):
-        cfg = ConstructionConfig(dim=2, schedule="geometric",
-                                 s1="1/10", gamma="1/4")
-        _, trace = construct_acute_cube(cfg)
-        s = [st.s for st in trace.steps]
-        assert s[1] == s[0] * F(1, 4)
-
-    @pytest.mark.parametrize("d", [3, 4])
-    def test_small_dims_fail_after_restarts(self, d):
-        with pytest.raises(ConstructionError, match="halvings"):
-            construct_full(ConstructionConfig(dim=d, schedule="geometric"))
-
-    def test_float_backend_also_fails_honestly(self):
-        with pytest.raises(ConstructionError):
-            construct_full(ConstructionConfig(dim=3, schedule="geometric",
-                                              backend="float64"))
 
 
 class TestBaseline:

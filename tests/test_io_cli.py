@@ -144,6 +144,26 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             load_point_set(p)
 
+    @pytest.mark.parametrize("backend, trace", [
+        pytest.param("rational", lambda: point_set_to_obj(
+            *construct_acute_cube(ConstructionConfig(dim=2)))["trace"],
+            id="trace-of-d2"),
+        pytest.param("float64", lambda: point_set_to_obj(
+            *construct_acute_cube(ConstructionConfig(dim=3)))["trace"],
+            id="rational-trace"),
+        pytest.param("rational", lambda: {"dim": 7, "backend": "decimal",
+                                          "vertex_order": [], "steps": []},
+                     id="dim7-decimal"),
+    ])
+    def test_trace_must_match_the_set(self, tmp_path, backend, trace):
+        ps, _ = construct_acute_cube(ConstructionConfig(dim=3,
+                                                        backend=backend))
+        obj = point_set_to_obj(ps)
+        obj["trace"] = trace()
+        path = write_json(tmp_path / "bad.json", obj)
+        with pytest.raises(ParseError, match="trace is for dim"):
+            load_point_set(path)
+
     def test_invalid_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -263,6 +283,15 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["generate"])          # missing dim
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", [
+        ["--schedule", "geometric"], ["--s1", "1/10"], ["--gamma", "1/4"]],
+        ids=["schedule", "s1", "gamma"])
+    def test_generate_has_no_schedule_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "3", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
