@@ -128,6 +128,11 @@ class ConstructionTrace:
             raise ValueError("one step per vertex required")
         if sorted(self.vertex_order) != list(range(n)):
             raise ValueError("vertex_order must be a permutation of 0..n-1")
+        for k, (st, idx) in enumerate(zip(self.steps, self.vertex_order)):
+            if st.index != idx:
+                raise ValueError(
+                    f"step {k} moves vertex {st.index}; vertex_order puts "
+                    f"vertex {idx} there")
         mu = self.dim - 1
         prev = None
         for st in self.steps:

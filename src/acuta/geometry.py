@@ -4,8 +4,9 @@ Everything here is phrased in squared quantities: the margin of a triangle is
 the smallest of its three apex inner products, so a configuration is acute
 exactly when its margin is positive and right angles show up as margin zero.
 
-Every scan (margins, verdicts, slabs, diameters, the construction guard)
-runs on one kernel per backend, chosen by :func:`kernel`. Exact sets use
+Every scan (the apex minimum, which margins, verdicts and slabs all read;
+diameters; the construction guard) runs on one kernel per backend, chosen
+by :func:`kernel`. Exact sets use
 :class:`ExactGram`: the Gram matrix is built once and each apex inner
 product is a 4-term sum of its entries. Two filters settle most of those
 sums in numpy first, and only dots neither can decide reach the exact (for
@@ -31,7 +32,8 @@ between differences from the apex.
 
 Consecutive scans of one :class:`PointSet` object share its kernel:
 :func:`kernel` keeps the last set's kernel, and at most that one outlives
-its call, until the set dies or another set is scanned.
+its call, until the set dies or another set is scanned. A kernel scans its
+apex minimum once (:meth:`_Kernel.minimum`) and keeps it.
 """
 from __future__ import annotations
 
@@ -152,6 +154,17 @@ class _Kernel:
     """
 
     n: int
+    _minimum = None
+
+    def minimum(self):
+        """``min_dots(range(n))``, the smallest raw apex dot of the set with
+        every ``(q, i, j)`` attaining it as a tuple: scanned once per
+        kernel and kept, so that every check of a shared kernel
+        (:func:`kernel`) reads the same minimum."""
+        if self._minimum is None:
+            raw, args = self.min_dots(range(self.n))
+            self._minimum = (raw, tuple(args))
+        return self._minimum
 
     def min_slab(self):
         """Smallest raw slab depth min(t, |p_y - p_x|^2 - t) over pairs
@@ -162,7 +175,7 @@ class _Kernel:
         # at y (legs x, z), so the depths are exactly the apex dots and the
         # minimal ones come from the minimal dots (q; i, j): with u the leg
         # playing y, (q, u, w) if u > q, else (u, q, w).
-        raw, args = self.min_dots(range(self.n))
+        raw, args = self.minimum()
         return raw, min((q, u, w) if u > q else (u, q, w)
                         for q, i, j in args for u, w in ((i, j), (j, i)))
 
@@ -279,10 +292,9 @@ class ExactGram(_Kernel):
     with D the same sum of heads and R the sum of the four tail counts,
     whatever H is, because a floored term falls short by less than 1 and
     never over. The scans bound every dot this way in numpy and run the
-    exact test only where a bound cannot decide:
-    a dot whose lower end exceeds another dot's upper end can be neither
-    the minimum nor tied with it, and a dot whose lower end is positive
-    passes every exact angle rule.
+    exact test only where a bound cannot decide: a dot whose lower end
+    exceeds another dot's upper end can be neither the minimum nor tied
+    with it.
 
     **Leading-term filter** (sparse entries only; for ints the exact test is
     one subtraction). One global H cannot order dots that differ only far
@@ -309,10 +321,9 @@ class ExactGram(_Kernel):
     |a| >= 1 and |b| < 2**C it makes |a| * 2**gap > |b|, so a * 2**x and
     b * 2**y (x > y) compare as the sign of a says, at positions as at
     exponents. The ends are stored as int64 keys that sort like the values,
-    and the same cap rule as for the heads runs on them (in verdict mode, a
-    dot whose lower key is positive passes); a dot whose leading term is
-    not isolated, or whose entries are not all packed, goes to the exact
-    test.
+    and the same cap rule as for the heads runs on them; a dot whose
+    leading term is not isolated, or whose entries are not all packed, goes
+    to the exact test.
 
     :meth:`min_dots` bounds every apex first and tests exactly only the
     dots that reach the least upper bound of all. What the exact test sees
@@ -392,21 +403,20 @@ class ExactGram(_Kernel):
         return max(self.sqdist(i, j)
                    for i, j in zip(iu[keep].tolist(), ju[keep].tolist()))
 
-    def _lead_bounds(self, q, a, b):
+    def _lead_bounds(self, q: int, a, b):
         """Keys ``lo`` and ``hi`` with lo < dot < hi for the raw dots
-        (q; a, b) (index arrays of one shape, or q an int), and the mask of
-        the dots they hold for: all four entries packed and the leading
-        merged term isolated. Elsewhere ``lo`` and ``hi`` are 0."""
+        (q; a, b) at apex q (``a``, ``b`` index arrays of one shape), and
+        the mask of the dots they hold for: all four entries packed and the
+        leading merged term isolated. Elsewhere ``lo`` and ``hi`` are 0."""
         table, ok, bits = self.leads
-        q = np.broadcast_to(q, a.shape)
         k = a.size
         lo, hi = np.zeros(k, np.int64), np.zeros(k, np.int64)
         sure = np.zeros(k, bool)
         if not k:
             return lo, hi, sure
-        words = np.concatenate((table[a, b], table[q, a], table[q, b],
-                                table[q, q]), 1)
         t = table.shape[2]
+        words = np.concatenate((table[a, b], table[q, a], table[q, b],
+                                np.broadcast_to(table[q, q], (k, t))), 1)
         minus = words[:, t:3 * t]       # G_qa and G_qb enter negated
         minus -= 2 * ((minus & _WORD - 1) - _BIAS)
         words.sort(axis=1)
@@ -495,49 +505,6 @@ class ExactGram(_Kernel):
                 elif s == 0:
                     args.append((q, i, j))
         return best, args
-
-    def first_failure(self, fails):
-        """As :meth:`_Kernel.first_failure`, for a rule that passes every
-        positive dot (each exact rule does): a dot whose head bound or
-        leading-term bound is positive is passed without its exact value."""
-        n = self.n
-        h, t = self.heads, self.tails
-        checked = 0
-        for i in range(n - 2):
-            m = n - i - 1
-            r = slice(i + 1, n)
-            # Lower ends D - R of the dots of the triples (i, j, k), with j
-            # along rows and k along columns: at i (legs j, k) and at j
-            # (legs i, k); the one at k (legs i, j) is the transpose of the
-            # one at j.
-            hr, tr = h[i, r], t[i, r]
-            hs, ts = h[r, r], t[r, r]
-            low_i = (hs - ts - (hr + tr)[:, None] - (hr + tr)[None, :]
-                     + (h[i, i] - t[i, i]))
-            low_j = ((np.diagonal(hs) - np.diagonal(ts) - hr - tr)[:, None]
-                     + (hr - tr)[None, :] - hs - ts)
-            pos_i, pos_j = low_i > 0, low_j > 0
-            y, z = np.nonzero(np.triu(~(pos_i & pos_j & pos_j.T), k=1))
-            # The angles of each unsure triple in sweep order: at i, j, k.
-            j, k, ii = i + 1 + y, i + 1 + z, np.full(y.shape, i)
-            q = np.stack((ii, j, k), 1)
-            a = np.stack((j, ii, ii), 1)
-            b = np.stack((k, k, j), 1)
-            sure = np.stack((pos_i[y, z], pos_j[y, z], pos_j[z, y]), 1)
-            if self.leads is not None:
-                rest = ~sure
-                lo, _, ok = self._lead_bounds(q[rest], a[rest], b[rest])
-                sure[rest] = ok & (lo > 0)
-            for u, c in zip(*(x.tolist() for x in np.nonzero(~sure))):
-                angle = (int(q[u, c]), int(a[u, c]), int(b[u, c]))
-                dot = self.dot(*angle)
-                if fails(dot):
-                    # the pairs (y', z') of this block up to (y, z)
-                    yu, zu = int(y[u]), int(z[u])
-                    done = math.comb(m, 2) - math.comb(m - yu, 2) + zu - yu
-                    return checked + done, angle, dot
-            checked += math.comb(m, 2)
-        return checked, None, None
 
 
 def _int_inner(xs, ys) -> int:
@@ -650,6 +617,6 @@ def set_margin(ps: PointSet,
     if n < 3:
         raise GeometryError(f"need at least 3 points, got {n}")
     gram = kernel(ps)
-    raw, args = gram.min_dots(range(n))
+    raw, args = gram.minimum()
     margin = gram.value(raw)
     return margin, TripleWitness(*args[0], margin)

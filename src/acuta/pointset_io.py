@@ -124,13 +124,19 @@ def _trace_to_obj(trace: ConstructionTrace) -> dict:
 
 
 def _trace_from_obj(obj, dim: int, backend: str) -> ConstructionTrace:
-    """Parse a trace, which must name the ``dim`` and ``backend`` of its set."""
+    """Parse a trace, which must name the ``dim`` and ``backend`` of its set
+    and hold one step per cube vertex, 2**(dim - 1) of them."""
     try:
         if obj["dim"] != dim or obj["backend"] != backend:
             raise ParseError(
                 f"trace is for dim {obj['dim']!r}, backend "
                 f"{obj['backend']!r}; the set has dim {dim}, backend "
                 f"{backend!r}")
+        n = len(obj["steps"])
+        if n.bit_length() != dim or n & (n - 1):    # n != 2**(dim - 1)
+            raise ParseError(
+                f"trace has {n} steps; a dim-{dim} set has 2**{dim - 1} "
+                "cube vertices")
         steps = tuple(
             TraceStep(index=int(st["index"]),
                       eps=_parse_coord(st["eps"], backend),
@@ -202,10 +208,9 @@ def _load_json(text: str) -> Tuple[PointSet, Optional[ConstructionTrace]]:
     backend = obj["backend"]
     if backend not in (RATIONAL, FLOAT64):
         raise ParseError(f"unknown backend {backend!r}")
-    try:
-        dim = int(obj["dim"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad dim: {obj['dim']!r}") from exc
+    dim = obj["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ParseError(f"dim must be an integer >= 1, got {dim!r}")
     rows = obj["points"]
     if not isinstance(rows, list):
         raise ParseError("points must be a list")

@@ -245,14 +245,6 @@ class Dyadic:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Dyadic":
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = Dyadic(((0, 1),))
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __neg__(self) -> "Dyadic":
         out = Dyadic.__new__(Dyadic)
         out._set(tuple((e, -c) for e, c in self.terms))

@@ -3,12 +3,14 @@
 The checks take nothing from the construction: they see only the points.
 Every scan runs on the kernel of the set's backend,
 :func:`acuta.geometry.kernel` (:class:`~acuta.geometry.ExactGram` or
-:class:`~acuta.geometry.FloatGram`), which ``set_margin`` shares, the
-early-exit verdict sweep included; this module only assembles reports.
-Consecutive checks of one set share its kernel: ``kernel`` keeps at most
-one kernel past its call, the last set's, until that set dies or another
-set is scanned, so a margin, verdict and slab check of the same object
-build one Gram matrix.
+:class:`~acuta.geometry.FloatGram`), which ``set_margin`` shares; this
+module only assembles reports. Every angle and slab check reads the
+kernel's apex minimum, which the kernel scans once and keeps, so margin and
+verdict mode agree on every verdict; only a failing verdict-mode check
+sweeps on, for the first failing angle. Consecutive checks of one set share
+its kernel (``kernel`` keeps the last set's until that set dies or another
+set is scanned), so a margin, verdict and slab check of the same object
+build one Gram matrix and scan it once.
 The independent check of the kernels is the naive triple loop
 ``naive_margin`` in the test suite, which acceptance criterion 8 compares
 against bit for bit. ``threads`` is accepted and ignored.
@@ -89,23 +91,26 @@ def _angle_check(ps: PointSet, check: str, tolerance: Optional[Tolerance],
     gram, sqd, strict = _setup(ps, tolerance)
     fails = fail_rule(strict)
 
-    if mode == "margin":
-        n = len(ps)
-        raw, args = gram.min_dots(range(n))
-        margin = gram.value(raw)
-        return VerificationReport(
-            check=check, verdict=not fails(raw), margin=margin,
-            witness=TripleWitness(*args[0], margin),
-            triples_checked=n * (n - 1) * (n - 2) // 6, squared_diameter=sqd,
-            backend=ps.backend, elapsed=time.perf_counter() - start)
-
-    checked, angle, raw = gram.first_failure(fails)
-    witness = TripleWitness(*angle, gram.value(raw)) if angle else None
+    n = len(ps)
+    raw, args = gram.minimum()
+    margin = gram.value(raw)
+    witness = TripleWitness(*args[0], margin)
+    checked = n * (n - 1) * (n - 2) // 6
+    if mode == "verdict":
+        if not fails(raw):
+            margin = witness = None
+        else:
+            # The first failing angle in sweep order. A float sweep can
+            # find none only where rounding splits it from the minimum's
+            # scan; the minimum's witness then stands.
+            found, angle, dot = gram.first_failure(fails)
+            if angle is not None:
+                checked, margin = found, gram.value(dot)
+                witness = TripleWitness(*angle, margin)
     return VerificationReport(
-        check=check, verdict=witness is None,
-        margin=witness.dot_value if witness else None, witness=witness,
-        triples_checked=checked, squared_diameter=sqd,
-        backend=ps.backend, elapsed=time.perf_counter() - start)
+        check=check, verdict=not fails(raw), margin=margin, witness=witness,
+        triples_checked=checked, squared_diameter=sqd, backend=ps.backend,
+        elapsed=time.perf_counter() - start)
 
 
 def verify_acute(ps: PointSet, tolerance: Optional[Tolerance] = None,
@@ -113,9 +118,11 @@ def verify_acute(ps: PointSet, tolerance: Optional[Tolerance] = None,
                  threads: Optional[int] = None) -> VerificationReport:
     """Certify that every angle is strictly acute.
 
-    In ``"margin"`` mode the full scan always runs and the report carries
-    the exact minimum with a deterministic witness; ``"verdict"`` mode may
-    stop at the first violation (a pass still scans everything).
+    Both modes read the set's apex minimum. In ``"margin"`` mode the report
+    carries it with a deterministic witness. In ``"verdict"`` mode a pass
+    reports neither, and a failure reports the first failing angle of the
+    sweep over triples i < j < k (angles at i, j, then k) and the triples
+    swept to reach it.
     """
     return _angle_check(ps, "acute", tolerance, mode,
                         lambda strict: (lambda dot: not dot > strict))

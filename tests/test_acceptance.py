@@ -2,8 +2,8 @@
 
 Each test covers one acceptance criterion and prints exactly one line of the
 form ``CRITERION n: PASS - ...`` or ``CRITERION n: FAIL - ...`` straight to
-the terminal (bypassing capture) before asserting.  The adaptive
-schedule's displacement scales collapse doubly exponentially with dimension
+the terminal (bypassing capture) before asserting.  The scale
+ladder's displacement scales collapse doubly exponentially with dimension
 (2**-12028 at d = 5), so float64 construction stops at d = 4 and criterion 1
 fails by design.  Exact construction runs on sparse dyadic values through
 d = 10, which criterion 5 asks for (6.7e7 apex dots at d = 10).  The
@@ -134,7 +134,7 @@ class TestCriterion1:
                 notes.append(f"d={d}: wrong size or verification failure")
         detail = ("2^(d-1)+1 points with positive scaled margin for d=2..12"
                   if ok else
-                  "holds for d=2..4 only; the adaptive schedule's deepest "
+                  "holds for d=2..4 only; the scale ladder's deepest "
                   "displacement scale is 2**-12028 at d=5, far below the "
                   "float64 range, so d>=5 (incl. the d=12 runtime target) is "
                   "unreachable in float; see README (honest limits)")

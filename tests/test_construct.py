@@ -244,7 +244,8 @@ class TestAdaptive:
         eps_by_vertex = {st.index: st.eps for st in trace.steps}
         for i, (o, p) in enumerate(zip(originals, cube.points)):
             d2 = sum((x - y) ** 2 for x, y in zip(o, p))
-            assert d2 <= eps_by_vertex[i] ** 2
+            eps = eps_by_vertex[i]      # a Dyadic, which has no **
+            assert d2 <= eps * eps
 
     def test_d5_ladder_regression(self):
         # The d = 5 ladder as first frozen: k_1 = 5, k_{l+1} = 3 k_l + 1 on

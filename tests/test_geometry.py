@@ -496,7 +496,18 @@ class TestKernelReuse:
         monkeypatch.setattr(ExactGram, "__init__", counted)
         return count
 
-    def test_a_certificate_and_its_rechecks_build_once(self, builds):
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        count = [0]
+        min_dots = ExactGram.min_dots
+
+        def counted(self, apexes):
+            count[0] += 1
+            return min_dots(self, apexes)
+        monkeypatch.setattr(ExactGram, "min_dots", counted)
+        return count
+
+    def test_a_certificate_and_its_rechecks_build_once(self, builds, scans):
         full, _, rep = construct_full(ConstructionConfig(dim=6))
         verify_acute(full, mode="verdict")
         verify_nonobtuse(full)
@@ -505,6 +516,7 @@ class TestKernelReuse:
         squared_diameter(full)
         safe_radius(full, rep.margin)
         assert builds[0] == 1
+        assert scans[0] == 1
 
     def test_alternating_sets_rebuild_each_time(self, builds):
         a = random_rational_set(1, 10, 3)
@@ -537,6 +549,24 @@ class TestKernelReuse:
         assert kb is not ka
         assert reports(b) == first
         assert builds[0] == (2 if backend == "rational" else 0)
+
+    @pytest.mark.parametrize("backend", ["rational", "float64"])
+    def test_the_kept_minimum_cannot_be_changed(self, backend):
+        # The unit cube's margin 0 is attained by many angles.
+        cube = hypercube_vertices(4, backend)
+        gram = kernel(cube)
+        kept = gram.minimum()
+        args = kept[1]
+        assert len(args) > 1 and gram.minimum() is kept
+        with pytest.raises(TypeError):
+            args[0] = (0, 1, 2)
+        with pytest.raises(TypeError):
+            args[0][0] = 1
+        with pytest.raises(TypeError):
+            kept[0] = -1
+        want, every = gram.min_dots(range(gram.n))
+        assert kept == (want, tuple(every))
+        assert verify_acute(cube).witness.indices() == args[0]
 
 
 class TestKernelSlot:

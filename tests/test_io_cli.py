@@ -8,8 +8,8 @@ import pytest
 
 from acuta import (ConstructionConfig, ParseError, PointSet,
                    construct_acute_cube, construct_full, load_point_set,
-                   save_point_set, set_margin)
-from acuta.cli import main
+                   save_point_set, set_margin, verify_acute)
+from acuta.cli import _report_obj, main
 from acuta.pointset_io import dumps_canonical, point_set_to_obj
 
 F = Fraction
@@ -58,6 +58,18 @@ class TestJsonRoundTrip:
         obj = json.loads(raw)
         assert raw == dumps_canonical(obj)
         assert list(obj) == sorted(obj)
+
+    @pytest.mark.parametrize("d, backend", [
+        (2, "rational"), (3, "rational"), (4, "rational"), (5, "rational"),
+        (2, "float64"), (3, "float64"), (4, "float64")])
+    def test_every_written_trace_loads_back(self, tmp_path, d, backend):
+        ps, trace, _ = construct_full(ConstructionConfig(dim=d,
+                                                         backend=backend))
+        p = tmp_path / "set.json"
+        save_point_set(p, ps, trace=trace)
+        loaded, loaded_trace = load_point_set(p)
+        assert loaded_trace == trace
+        assert len(trace.steps) == 2 ** (d - 1)
 
     def test_trace_optional(self, tmp_path):
         ps, _, _ = construct_full(ConstructionConfig(dim=2))
@@ -164,6 +176,48 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="trace is for dim"):
             load_point_set(path)
 
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda t: t.update(vertex_order=[], steps=[]),
+                     id="empty"),
+        pytest.param(lambda t: t.update(vertex_order=[0, 1, 2],
+                                        steps=t["steps"][:3]),
+                     id="three-steps"),
+        pytest.param(lambda t: [st.update(index=7) for st in t["steps"]],
+                     id="every-index-7"),
+        pytest.param(lambda t: t["vertex_order"].reverse(),
+                     id="order-reversed"),
+    ])
+    def test_trace_must_describe_the_set(self, tmp_path, mutate):
+        obj = point_set_to_obj(*construct_acute_cube(
+            ConstructionConfig(dim=3)))
+        mutate(obj["trace"])
+        path = write_json(tmp_path / "bad.json", obj)
+        with pytest.raises(ParseError):
+            load_point_set(path)
+
+    def test_trace_of_a_huge_dim_is_refused_at_once(self, tmp_path):
+        # No set or trace of this dim could be checked against 2**(dim - 1)
+        # steps by building that number.
+        dim = 10 ** 15
+        path = write_json(tmp_path / "huge.json", {
+            "backend": "rational", "dim": dim, "points": [],
+            "trace": {"dim": dim, "backend": "rational",
+                      "vertex_order": [], "steps": []}})
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError, match="steps"):
+            load_point_set(path)
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("dim", [2.9, "2", True, 2.0, 0, -2, None, [2]])
+    def test_dim_must_be_a_json_integer(self, tmp_path, dim):
+        # Points of the width int(dim) would give, where there is one.
+        width = 1 if dim is True else 2
+        rows = [[str(k)] + ["0"] * (width - 1) for k in range(3)]
+        path = write_json(tmp_path / "bad.json",
+                          square_obj(dim=dim, points=rows))
+        with pytest.raises(ParseError):
+            load_point_set(path)
+
     def test_invalid_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -237,6 +291,31 @@ class TestCli:
         path = write_json(tmp_path / "sq.json", square_obj())
         assert main(["verify", path, "--check", "nonobtuse"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] is True
+
+    @pytest.mark.parametrize("name", ["square", "d4"])
+    def test_verify_verdict_mode(self, tmp_path, capsys, name):
+        if name == "square":
+            path = write_json(tmp_path / "sq.json", square_obj())
+        else:
+            path = tmp_path / "d4.json"
+            save_point_set(path, construct_full(ConstructionConfig(dim=4))[0])
+        code = main(["verify", str(path), "--mode", "verdict"])
+        got = json.loads(capsys.readouterr().out)
+        want = _report_obj(verify_acute(load_point_set(path)[0],
+                                        mode="verdict"))
+        assert want["verdict"] == (name == "d4")
+        assert code == (0 if want["verdict"] else 3)
+        del got["elapsed"], want["elapsed"]
+        assert got == want
+
+    def test_verify_nonobtuse_verdict_mode(self, tmp_path, capsys):
+        path = write_json(tmp_path / "sq.json", square_obj())
+        assert main(["verify", path, "--check", "nonobtuse",
+                     "--mode", "verdict"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["check"] == "nonobtuse" and report["verdict"] is True
+        assert report["margin"] is None and report["witness"] is None
+        assert report["triples_checked"] == 4
 
     def test_verify_antipodal(self, tmp_path, capsys):
         ps, _, _ = construct_full(ConstructionConfig(dim=3))

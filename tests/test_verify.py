@@ -2,6 +2,7 @@ import os
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from acuta import (ConstructionConfig, PointSet, Tolerance, apex_point,
@@ -10,7 +11,9 @@ from acuta import (ConstructionConfig, PointSet, Tolerance, apex_point,
                    legacy_bounds, set_margin, target_size,
                    verify_acute, verify_antipodal_witness,
                    verify_cardinality_bounds, verify_nonobtuse)
-from tests.conftest import naive_slab, random_rational_set
+from acuta.geometry import FloatGram, kernel
+from tests.conftest import (naive_first_failure, naive_slab,
+                            random_rational_set)
 
 F = Fraction
 
@@ -182,6 +185,83 @@ class TestVerifyAgainstGeometry:
         report = verify_acute(ps, mode="margin")
         assert report.margin == m
         assert report.witness == w
+
+
+def _float_copy(ps):
+    return PointSet(dim=ps.dim, backend="float64",
+                    points=[[float(x) for x in p] for p in ps.points])
+
+
+class TestVerdictMode:
+    """Verdict mode reads the kernel's minimum and sweeps only when it
+    fails: its report must equal the naive early-exit sweep of conftest,
+    and its verdict the margin-mode verdict."""
+
+    @staticmethod
+    def rules(rep):
+        strict = (0 if rep.backend == "rational"
+                  else Tolerance.scaled(rep.squared_diameter).strict_margin)
+        return {verify_acute: lambda dot: not dot > strict,
+                verify_nonobtuse: lambda dot: dot < -strict}
+
+    @pytest.mark.parametrize("first", ["margin", "verdict"])
+    @pytest.mark.parametrize("kind", ["rational", "float-of-rational",
+                                      "float"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reports_equal_the_naive_sweep(self, seed, kind, first):
+        dim = 2 + seed % 3
+        ps = random_rational_set(seed + 500, n=5 + seed, dim=dim)
+        if kind == "float-of-rational":
+            ps = _float_copy(ps)
+        elif kind == "float":
+            rng = random.Random(seed)
+            ps = PointSet(dim=dim, backend="float64", points=[
+                [rng.random() for _ in range(dim)] for _ in range(5 + seed)])
+        failed = 0
+        for check, fails in self.rules(verify_acute(ps)).items():
+            modes = ["margin", "verdict"]
+            if first == "verdict":
+                modes.reverse()
+            reps = {mode: check(ps, mode=mode) for mode in modes}
+            rep = reps["verdict"]
+            checked, angle, dot = naive_first_failure(ps.points, fails)
+            assert rep.triples_checked == checked
+            assert rep.margin == dot
+            assert (rep.witness and rep.witness.indices()) == angle
+            assert (rep.witness and rep.witness.dot_value) == dot
+            assert rep.verdict == (angle is None) == reps["margin"].verdict
+            failed += angle is not None
+        assert failed     # no random set here is acute
+
+    def test_a_rounding_split_fails_with_the_minimums_witness(
+            self, monkeypatch):
+        # The float minimum is scanned with numpy and the sweep's dots in
+        # Python, whose roundings can differ in the last bit. Simulate a
+        # minimum one step below every dot the sweep computes, at the
+        # strict margin: the sweep finds no failing angle, and the report
+        # must still fail, with the minimum's witness and every triple.
+        ps = PointSet(dim=3, backend="float64", points=(
+            (0.0, 0.0, 0.0), (2.0, 0.1, 0.0), (0.9, 1.8, 0.0),
+            (1.0, 0.6, 1.7)))
+        raw, args = FloatGram.min_dots(kernel(ps), range(4))
+        low = float(np.nextafter(raw, 0.0))
+        monkeypatch.setattr(FloatGram, "min_dots",
+                            lambda self, apexes: (low, args))
+        ps = PointSet(dim=3, backend="float64", points=ps.points)
+        tol = Tolerance("float64", low)
+        rep = verify_acute(ps, tol, mode="verdict")
+        assert not rep.verdict and not verify_acute(ps, tol).verdict
+        assert rep.witness.indices() == args[0]
+        assert rep.margin == rep.witness.dot_value == low
+        assert rep.triples_checked == 4
+
+    def test_passing_sets_report_no_witness(self):
+        ps, _, _ = construct_full(ConstructionConfig(dim=4))
+        for check in (verify_acute, verify_nonobtuse):
+            rep = check(ps, mode="verdict")
+            assert rep.verdict and check(ps).verdict
+            assert rep.margin is None and rep.witness is None
+            assert rep.triples_checked == 9 * 8 * 7 // 6
 
 
 class TestTranslation:
