@@ -504,7 +504,7 @@ def construct_full(cfg: ConstructionConfig):
     gram = kernel(full)
     # The set's squared diameter bounds every cube pair; only when it does
     # not clear the guard are the pairs converted one by one.
-    if not gram.value(gram.max_sqdist()) < lim:
+    if not gram.sqdiam() < lim:
         for i, j in itertools.combinations(range(len(pts)), 2):
             d2 = gram.value(gram.sqdist(i, j))
             if not d2 < lim:

@@ -7,18 +7,18 @@ exactly when its margin is positive and right angles show up as margin zero.
 Every scan (the apex minimum, which margins, verdicts and slabs all read;
 diameters; the construction guard) runs on one kernel per backend, chosen
 by :func:`kernel`. Exact sets use
-:class:`ExactGram`: the Gram matrix is built once and each apex inner
-product is a 4-term sum of its entries. Two filters settle most of those
-sums in numpy first, and only dots neither can decide reach the exact (for
-sparse entries, costly) sign test:
+:class:`ExactGram`: every coordinate becomes a sparse :class:`Dyadic` (a
+Fraction set's scaled by the lcm of its denominators' odd parts), the Gram
+matrix is built once and each apex inner product is a 4-term sum of its
+entries. Two filters settle most of those sums in numpy first, and only
+dots neither can decide reach the exact sparse sign test:
 
 * an int64 **head filter**: every entry x carries a head h and a count t
   of floored terms with x * 2**H in [h, h + t], so each dot times 2**H
   lies within R, the sum of its four counts, of D, the sum of its four
   heads. The bound holds for any H, since flooring a term loses less than
   1 and never adds.
-* for sparse :class:`Dyadic` entries, a **leading-term filter** on the
-  dots the heads leave: with v * 2**p the leading term of a dot's merged
+* a **leading-term filter** on the dots the heads leave: with v * 2**p the leading term of a dot's merged
   terms and everything after it summing to less than 2**(p - 1) in size
   (its gap to the next term exceeds the bit length of the mass after it),
   the dot lies strictly inside ((2v - 1) * 2**(p - 1), (2v + 1) * 2**(p - 1)).
@@ -155,6 +155,7 @@ class _Kernel:
 
     n: int
     _minimum = None
+    _sqdiam = None
 
     def minimum(self):
         """``min_dots(range(n))``, the smallest raw apex dot of the set with
@@ -165,6 +166,13 @@ class _Kernel:
             raw, args = self.min_dots(range(self.n))
             self._minimum = (raw, tuple(args))
         return self._minimum
+
+    def sqdiam(self) -> RawScalar:
+        """The set's squared diameter, ``value(max_sqdist())``: computed
+        once per kernel and kept, as :meth:`minimum` is."""
+        if self._sqdiam is None:
+            self._sqdiam = self.value(self.max_sqdist())
+        return self._sqdiam
 
     def min_slab(self):
         """Smallest raw slab depth min(t, |p_y - p_x|^2 - t) over pairs
@@ -269,18 +277,52 @@ def _keys(a, x, bits: int):
     return np.where(a < 0, -k, k)
 
 
+def _odd(q: int) -> int:
+    """The odd part of q > 0."""
+    return q // (q & -q)
+
+
+def _digits(x: Fraction, m: int) -> Dyadic:
+    """x * m as a Dyadic, for m a multiple of the odd part of x's
+    denominator: p * 2**-k with p = x * m * 2**k an integer. A p of at least
+    2**_LEAD_MASS_BITS becomes its signed binary digits (non-adjacent form:
+    with h = 3|p|, one digit below each bit where h and |p| differ) if it
+    has at most _LEAD_TERMS of them, so that 1 - 2**-e is two terms whose
+    products the leading-term table can pack; otherwise p stays one term."""
+    q = x.denominator
+    o = _odd(q)
+    k = (q // o).bit_length() - 1
+    p = x.numerator * (m // o)
+    a = abs(p)
+    h = 3 * a
+    if a >> _LEAD_MASS_BITS == 0 or (h ^ a).bit_count() > _LEAD_TERMS:
+        return Dyadic([(-k, p)])
+    s = 1 if p > 0 else -1
+    terms = []
+    for bits, c in (((h & ~a) >> 1, s), ((a & ~h) >> 1, -s)):
+        while bits:
+            b = bits & -bits
+            terms.append((b.bit_length() - 1 - k, c))
+            bits ^= b
+    return Dyadic(terms)
+
+
 class ExactGram(_Kernel):
     """Gram matrix of an exact point set, in units that order exactly.
 
-    A set of Fractions is scaled by the lcm D of its denominators, so every
-    entry is a Python int. A set holding a :class:`Dyadic` (see
+    Every entry is a sparse :class:`Dyadic`, built in one pass
+    (:func:`~acuta.scalars.dyadic_inner`: every coefficient product added
+    into one dict keyed by its exponent). A set holding a Dyadic (see
     :class:`PointSet`: a set with a value too large for a dense Fraction
-    keeps all its Dyadic values sparse) keeps sparse Dyadic entries and
-    D = 1; its other values must then be dyadic too. Each sparse entry is
-    built in one pass, every coefficient product added into one dict keyed
-    by its exponent. Raw values -- entries, squared distances, apex dots --
-    are the true values times D**2 > 0, so their signs and their order are
-    exact; :meth:`value` converts one back.
+    keeps all its Dyadic values sparse) is taken as it is, m = 1; its other
+    values must then be dyadic too. A set of Fractions is scaled by m, the
+    lcm of the odd parts of its denominators (1 for a dyadic set), so every
+    coordinate x becomes the dyadic x * m (:func:`_digits`): one term, or
+    the few signed binary digits of a long numerator, such as the two of
+    the ladder's 1 - 2**-e. Raw values -- entries, squared distances, apex
+    dots -- are the true values times m**2 > 0, so their signs and their
+    order are exact; :meth:`value` converts one back, to a Fraction of any
+    size for a Fraction set.
 
     **Head filter.** Next to each entry x the kernel keeps, in two n x n
     int64 arrays, a head h and a tail count t with x * 2**H in [h, h + t]
@@ -296,9 +338,10 @@ class ExactGram(_Kernel):
     exceeds another dot's upper end can be neither the minimum nor tied
     with it.
 
-    **Leading-term filter** (sparse entries only; for ints the exact test is
-    one subtraction). One global H cannot order dots that differ only far
-    below 2**-H, such as the originally right angles of a perturbed cube.
+    **Leading-term filter** (built only when some tail count is nonzero:
+    otherwise every head is exact and the head filter decides every dot).
+    One global H cannot order dots that differ only far below 2**-H, such
+    as the originally right angles of a perturbed cube.
     ``leads`` keeps each entry of at most 8 terms and coefficient mass below
     2**24 as T (position, coefficient) pairs, each packed into one int64
     word, in n x n x T arrays; T is the most terms of a packed entry.
@@ -340,23 +383,16 @@ class ExactGram(_Kernel):
                 raise GeometryError(
                     "an exact set with values too large for Fraction must be "
                     f"all dyadic: {exc}") from exc
-            self._d2 = None
-            self._sign3 = dyadic_diff_sign
-            inner = dyadic_inner
+            self._m2 = None
         else:
-            dens = {x.denominator for p in points for x in p}
-            den = math.lcm(*dens)
-            scale = {q: den // q for q in dens}
-            rows = [[x.numerator * scale[x.denominator] for x in p]
-                    for p in points]
-            self._d2 = den * den
-            self._sign3 = _int_sign3
-            inner = _int_inner
+            m = math.lcm(*{_odd(x.denominator) for p in points for x in p})
+            rows = [[_digits(x, m) for x in p] for p in points]
+            self._m2 = m * m
         g = [[0] * n for _ in range(n)]
         for i in range(n):
             ri = rows[i]
             for j in range(i + 1):
-                g[i][j] = g[j][i] = inner(ri, rows[j])
+                g[i][j] = g[j][i] = dyadic_inner(ri, rows[j])
         self.g = g
         # |G_ij| <= max(G_ii, G_jj) <= top, the largest diagonal entry
         # rounded up to an integer.
@@ -371,13 +407,13 @@ class ExactGram(_Kernel):
         heads[upper] = heads.T[upper]
         tails[upper] = tails.T[upper]
         self.heads, self.tails = _frozen(heads), _frozen(tails)
-        self.leads = _lead_table(g) if self._d2 is None else None
+        self.leads = _lead_table(g) if tails.any() else None
 
     def value(self, raw) -> RawScalar:
         """The true value of a raw quantity."""
-        if self._d2 is None:
+        if self._m2 is None:
             return as_exact(raw)
-        return Fraction(raw, self._d2)
+        return raw.over(self._m2)
 
     def sqdist(self, i: int, j: int):
         """Raw |p_i - p_j|^2."""
@@ -393,7 +429,7 @@ class ExactGram(_Kernel):
         """Largest raw squared distance; only the pairs whose bound reaches
         the largest lower bound are computed exactly."""
         if self.n < 2:
-            return 0
+            return Dyadic()
         iu, ju = np.triu_indices(self.n, k=1)
         h, t = self.heads, self.tails
         hd, td = np.diagonal(h), np.diagonal(t)
@@ -483,7 +519,6 @@ class ExactGram(_Kernel):
             batches.append((q, keep, low, lo, sure))
 
         g = self.g
-        sign3 = self._sign3
         best, args = None, []
         for q, keep, low, lo, sure in batches:
             near = low <= cap
@@ -498,22 +533,13 @@ class ExactGram(_Kernel):
                     row, gi = i, g[i]
                     ai = gq[i] - gqq    # dot(q; i, j) = gi[j] - ai - gq[j]
                     cut = None if best is None else ai + best
-                s = -1 if cut is None else sign3(gi[j], gq[j], cut)
+                s = -1 if cut is None else dyadic_diff_sign(gi[j], gq[j], cut)
                 if s < 0:
                     best, args = gi[j] - ai - gq[j], [(q, i, j)]
                     cut = ai + best
                 elif s == 0:
                     args.append((q, i, j))
         return best, args
-
-
-def _int_inner(xs, ys) -> int:
-    return sum(a * b for a, b in zip(xs, ys))
-
-
-def _int_sign3(a: int, b: int, c: int) -> int:
-    x = a - b - c
-    return (x > 0) - (x < 0)
 
 
 class FloatGram(_Kernel):
@@ -600,8 +626,7 @@ def kernel(ps: PointSet) -> _Kernel:
 
 def squared_diameter(ps: PointSet) -> RawScalar:
     """Largest squared distance between two points of the set."""
-    gram = kernel(ps)
-    return gram.value(gram.max_sqdist())
+    return kernel(ps).sqdiam()
 
 
 def set_margin(ps: PointSet,

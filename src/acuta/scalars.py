@@ -97,19 +97,17 @@ def dyadic_inner(xs, ys) -> "Dyadic":
     return Dyadic._of_acc(acc)
 
 
-def head_split(x, shift: int):
+def head_split(x: "Dyadic", shift: int):
     """Integer head ``h`` and tail count ``t`` with
-    ``h <= x * 2**shift <= h + t``, for an int or a :class:`Dyadic` x.
+    ``h <= x * 2**shift <= h + t``.
 
-    Each term c * 2**e (an int is the single term c = x, e = 0) adds
-    ``c << (e + shift)`` to h exactly when e + shift >= 0, and its floor
-    ``c >> -(e + shift)`` otherwise; a floored term falls short of its
-    value by less than 1, and t counts the floored terms. Any shift is
-    sound; it only decides how much of x the head holds.
+    Each term c * 2**e adds ``c << (e + shift)`` to h exactly when
+    e + shift >= 0, and its floor ``c >> -(e + shift)`` otherwise; a floored
+    term falls short of its value by less than 1, and t counts the floored
+    terms. Any shift is sound; it only decides how much of x the head holds.
     """
-    terms = ((0, x),) if isinstance(x, int) else x.terms
     h = t = 0
-    for e, c in terms:
+    for e, c in x.terms:
         s = e + shift
         if s >= 0:
             h += c << s
@@ -188,15 +186,18 @@ class Dyadic:
     def to_fraction(self) -> Fraction:
         """The same value as a Fraction; ScalarError if it is too large."""
         t = self.terms
-        if not t:
-            return Fraction(0)
         if not self.fits_fraction():
             raise ScalarError(
                 f"dyadic value spans exponents 2**{t[-1][0]}..2**{t[0][0]}, "
                 f"beyond the {FRACTION_BITS}-bit limit of a dense Fraction")
-        lo = t[-1][0]
+        return self.over(1)
+
+    def over(self, den: int) -> Fraction:
+        """The Fraction self / den, for an int den > 0, whatever its size."""
+        t = self.terms
+        lo = t[-1][0] if t else 0
         n = sum(c << (e - lo) for e, c in t)
-        return Fraction(n << lo) if lo >= 0 else Fraction(n, 1 << -lo)
+        return Fraction(n << lo, den) if lo >= 0 else Fraction(n, den << -lo)
 
     # -- arithmetic -------------------------------------------------------
 

@@ -72,7 +72,7 @@ def _setup(ps: PointSet, tolerance: Optional[Tolerance]):
     if len(ps) < 3:
         raise ValueError("verification needs at least 3 points")
     gram = kernel(ps)
-    sqd = gram.value(gram.max_sqdist())
+    sqd = gram.sqdiam()
     exact = ps.backend == RATIONAL
     tol = tolerance if tolerance is not None else (
         Tolerance.exact() if exact else Tolerance.scaled(float(sqd)))

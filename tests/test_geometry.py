@@ -17,13 +17,35 @@ from acuta import (Dyadic, GeometryError, PointSet, TripleWitness,
 from acuta import geometry
 from acuta.construct import (ConstructionConfig, construct_full,
                              hypercube_vertices, perturb_vertex, safe_radius)
-from acuta.geometry import ExactGram, _keys, _lead_table, kernel
+from acuta.geometry import (_LEAD_TERMS, ExactGram, _digits, _keys,
+                            _lead_table, kernel)
+from acuta.scalars import FRACTION_BITS
 from acuta.verify import (verify_acute, verify_antipodal_witness,
                           verify_nonobtuse)
 from conftest import (naive_first_failure, naive_margin, naive_minima,
                       naive_slab, random_rational_points, random_rational_set)
 
 F = Fraction
+
+
+def _odd_part(q):
+    while q % 2 == 0:
+        q //= 2
+    return q
+
+
+# Exact coordinates of every shape the kernel converts: integers, zero,
+# p / 2**k, all-ones numerators (2**k - 1) / 2**k, and dense numerators
+# over odd denominators (times a power of two).
+_coords = st.one_of(
+    st.integers(-2 ** 80, 2 ** 80).map(F),
+    st.builds(lambda p, k: F(p, 2 ** k), st.integers(-2 ** 40, 2 ** 40),
+              st.integers(0, 90)),
+    st.builds(lambda k, s: F(s * (2 ** k - 1), 2 ** k), st.integers(1, 200),
+              st.sampled_from((-1, 1))),
+    st.builds(lambda p, o, k: F(p, o << k), st.integers(-2 ** 200, 2 ** 200),
+              st.sampled_from((3, 7, 15, 3 ** 30, 10 ** 9 + 7)),
+              st.integers(0, 60)))
 
 
 def rat_ps(*rows, dim=None):
@@ -205,7 +227,7 @@ class TestExactGram:
     def test_sparse_dyadic_entries_agree_with_integer_entries(self, seed, n,
                                                               dim):
         # random_rational_points draws dyadic coordinates, so the same set
-        # runs on both representations of the kernel.
+        # enters the kernel both as Fractions and as Dyadic values.
         pts = random_rational_set(seed=seed, n=n, dim=dim).points
         dense = ExactGram(pts)
         sparse = ExactGram([[Dyadic.of(x) for x in p] for p in pts])
@@ -219,24 +241,94 @@ class TestExactGram:
 
     @given(st.integers(0, 10 ** 6), st.integers(2, 12), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
-    def test_integer_rows_scale_by_the_common_denominator(self, seed, n, dim):
+    def test_entries_scale_by_the_odd_denominator_lcm(self, seed, n, dim):
         # Denominators repeat across coordinates; every entry must still be
-        # D**2 times the true inner product, D the lcm of all denominators.
+        # m**2 times the true inner product, m the lcm of the odd parts of
+        # all denominators.
         rng = random.Random(seed)
         pts = {tuple(F(rng.randint(-50, 50), rng.choice((1, 3, 4, 7, 12, 35)))
                      for _ in range(dim)) for _ in range(n)}
         pts = sorted(pts)
         gram = ExactGram(pts)
-        den = math.lcm(*(x.denominator for p in pts for x in p))
-        assert gram.value(1) == F(1, den * den)
+        m = math.lcm(*(_odd_part(x.denominator) for p in pts for x in p))
+        assert gram.value(Dyadic.pow2(0)) == F(1, m * m)
         for i, j in itertools.product(range(len(pts)), repeat=2):
-            assert gram.g[i][j] == den * den * sum(
+            assert gram.g[i][j] == m * m * sum(
                 a * b for a, b in zip(pts[i], pts[j]))
+
+    @given(st.lists(_coords, min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_every_coordinate_becomes_x_times_m(self, xs):
+        m = math.lcm(*(_odd_part(x.denominator) for x in xs))
+        for x in xs:
+            for y in (x, -x):
+                d = _digits(y, m)
+                assert d == y * m
+                # One term, or up to _LEAD_TERMS signed binary digits.
+                assert len(d.terms) <= 1 or (
+                    len(d.terms) <= _LEAD_TERMS
+                    and all(abs(c) == 1 for _, c in d.terms))
+
+    @pytest.mark.parametrize("k", [25, 26, 100, 12028])
+    def test_all_ones_numerators_become_two_digits(self, k):
+        assert _digits(F(2 ** k - 1, 2 ** k), 1).terms == ((0, 1), (-k, -1))
+        assert _digits(F(1 - 2 ** k, 2 ** k), 1).terms == ((0, -1), (-k, 1))
+
+    def test_large_odd_denominators_keep_one_term_per_coordinate(self):
+        rng = random.Random(11)
+        dens = (10 ** 9 + 7, 3 ** 40, 998244353 << 7)
+        pts = sorted({tuple(F(rng.randint(-10 ** 12, 10 ** 12),
+                              rng.choice(dens)) for _ in range(3))
+                      for _ in range(9)})
+        m = math.lcm(*(_odd_part(x.denominator) for p in pts for x in p))
+        assert all(len(_digits(x, m).terms) == 1 for p in pts for x in p)
+        TestHeadFilter.check(pts)
 
     def test_huge_dyadic_cannot_mix_with_non_dyadic_values(self):
         pts = [(Dyadic.pow2(-10 ** 8), F(0)), (F(1, 3), F(0)), (F(0), F(1))]
         with pytest.raises(GeometryError):
             ExactGram(pts)
+
+
+def _kicked_d5(den):
+    """The d = 5 ladder set with point 3 moved by its safe radius times a
+    seeded direction over ``den``."""
+    full, _, rep = construct_full(ConstructionConfig(dim=5))
+    radius = safe_radius(full, rep.margin)
+    rng = random.Random(5)
+    pts = list(full.points)
+    pts[3] = tuple(x + radius * rng.randint(-4, 4) / den for x in pts[3])
+    return pts
+
+
+class TestKickedLadder:
+    """A d = 5 ladder set kicked by its safe radius: one point's coordinates
+    are dense numerators of about 48 000 bits, which stay one term each,
+    beside the ladder's one- and two-term coordinates."""
+
+    def test_scans_equal_the_naive_loops(self):
+        # The kick over 2**5 keeps every coordinate dyadic, so the naive
+        # loops can run on Dyadic copies of the values; on these Fractions
+        # they take about a minute.
+        pts = _kicked_d5(32)
+        TestHeadFilter.check(pts, oracle=[[Dyadic.of(x) for x in p]
+                                          for p in pts])
+
+    def test_value_is_an_exact_fraction_beyond_fraction_bits(self):
+        pts = _kicked_d5(7 * 32)
+        gram = ExactGram(pts)
+        assert gram.value(Dyadic.pow2(0)) == F(1, 49)
+        for i, j in ((3, 3), (3, 0), (0, 0)):
+            v = gram.value(gram.g[i][j])
+            assert type(v) is F and v == sum(
+                a * b for a, b in zip(pts[i], pts[j]))
+        big = gram.value(gram.g[3][3])
+        assert (big.numerator.bit_length()
+                + big.denominator.bit_length()) > FRACTION_BITS
+        raw, args = gram.minimum()
+        q, i, j = args[0]
+        assert gram.value(raw) == sum((a - z) * (b - z) for a, b, z in
+                                      zip(pts[i], pts[j], pts[q])) > 0
 
 
 def _not_acute(dot):
@@ -271,20 +363,23 @@ class TestHeadFilter:
     the bounds cannot tell the dots apart."""
 
     @staticmethod
-    def check(points, sparse=False):
+    def check(points, sparse=False, oracle=None):
+        """Compare every scan of ``points`` with the naive loops, run on
+        ``oracle``: the same values, by default ``points`` themselves."""
         gram = ExactGram([[Dyadic.of(x) for x in p] for p in points]
                          if sparse else points)
+        oracle = points if oracle is None else oracle
         n = len(points)
         raw, args = gram.min_dots(range(n))
-        assert (gram.value(raw), args) == naive_minima(points)
+        assert (gram.value(raw), args) == naive_minima(oracle)
         raw, witness = gram.min_slab()
-        assert (gram.value(raw), witness) == naive_slab(points)
+        assert (gram.value(raw), witness) == naive_slab(oracle)
         assert gram.value(gram.max_sqdist()) == max(
-            dot_at_apex(p, r, r) for p, r in itertools.combinations(points, 2))
+            dot_at_apex(p, r, r) for p, r in itertools.combinations(oracle, 2))
         for rule in (_not_acute, _obtuse):
             checked, angle, dot = gram.first_failure(rule)
             dot = None if dot is None else gram.value(dot)
-            assert (checked, angle, dot) == naive_first_failure(points, rule)
+            assert (checked, angle, dot) == naive_first_failure(oracle, rule)
 
     @given(st.integers(0, 10 ** 6), st.integers(3, 10), st.integers(2, 4))
     @settings(max_examples=25, deadline=None)
@@ -305,7 +400,11 @@ class TestHeadFilter:
     @settings(max_examples=25, deadline=None)
     def test_coordinates_near_2_70(self, seed, n, dim):
         pts = _near_2_70(seed, n, dim)
-        assert ExactGram(pts).tails.min() == 1      # every head is floored
+        # Every term but each entry's leading dim * 2**140 is floored: the
+        # heads keep nothing of any dot.
+        gram = ExactGram(pts)
+        assert all(gram.tails[i, j] == len(gram.g[i][j].terms) - 1
+                   for i, j in itertools.product(range(n), repeat=2))
         self.check(pts)
         m, w = set_margin(PointSet(dim=dim, points=pts, backend="rational"))
         assert (m, w.indices()) == naive_margin(pts)

@@ -144,7 +144,7 @@ class TestHeadSplit:
     @given(st.integers(-2 ** 300, 2 ** 300), st.integers(-400, 400))
     @settings(max_examples=200)
     def test_ints(self, x, shift):
-        h, t = head_split(x, shift)
+        h, t = head_split(Dyadic.of(x), shift)
         assert h <= x * Fraction(2) ** shift <= h + t
 
     @given(big_terms, st.integers(-10 ** 6 - 400, 10 ** 6 + 400))
