@@ -63,11 +63,11 @@ DESIGN_MARGINS: Dict[int, Fraction] = {
 # acute, while k_1 = 6 certifies. k_1 = ceil(log2(d (d-1))) gives 5, 5, 6, 6,
 # 7, 7 for d = 5..10, each certified exactly by construct_full.
 LADDER_MAX_DIM: int = 10
-# Wall time of construct_full(ConstructionConfig(dim=LADDER_MAX_DIM)) --
+# CPU time of construct_full(ConstructionConfig(dim=LADDER_MAX_DIM)) --
 # build, guard and the exact margin scan over its 67 108 608 apex dots --
-# median of 3 runs (3.86, 3.92, 4.06 s) on a 2-core Intel Xeon under
-# CPython 3.11.
-LADDER_MAX_DIM_SECONDS: float = 3.92
+# median of 3 runs in fresh processes (5.75, 5.91, 5.96 s) on a 2-core
+# Intel Xeon under CPython 3.11.
+LADDER_MAX_DIM_SECONDS: float = 5.91
 
 
 def ladder_k1(d: int) -> int:

@@ -10,8 +10,11 @@ by :func:`kernel`. Exact sets use
 :class:`ExactGram`: every coordinate becomes a sparse :class:`Dyadic` (a
 Fraction set's scaled by the lcm of its denominators' odd parts), the Gram
 matrix is built once and each apex inner product is a 4-term sum of its
-entries. Two filters settle most of those sums in numpy first, and only
-dots neither can decide reach the exact sparse sign test:
+entries. The build runs in rank space: every entry is a run of int64
+(rank of its exponent among all pair sums, coefficient) pairs formed in
+numpy, and only the entries an exact test touches become Dyadic objects.
+Two filters settle most of the sums in numpy first, and only dots neither
+can decide reach the exact sparse sign test:
 
 * an int64 **head filter**: every entry x carries a head h and a count t
   of floored terms with x * 2**H in [h, h + t], so each dot times 2**H
@@ -37,6 +40,7 @@ apex minimum once (:meth:`_Kernel.minimum`) and keeps it.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import weakref
@@ -47,8 +51,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .scalars import (FLOAT64, RATIONAL, Backend, Dyadic, RawScalar,
-                      ScalarError, as_exact, dyadic_diff_sign, dyadic_inner,
-                      head_split)
+                      ScalarError, as_exact, dyadic_diff_sign, head_split)
 
 Point = Tuple[RawScalar, ...]
 
@@ -202,7 +205,6 @@ class _Kernel:
                     return checked, (q, a, b), dot
         return checked, None, None
 
-
 # Heads are scaled so that every Gram entry's head stays below 2**55 in
 # magnitude: a dot's four heads plus its four tail counts then fit int64.
 _HEAD_BITS = 55
@@ -215,6 +217,12 @@ _LEAD_TERMS = 8
 _LEAD_MASS_BITS = 24
 _WORD = 1 << _LEAD_MASS_BITS + 1
 _BIAS = 1 << _LEAD_MASS_BITS
+# A point is oversize when the coefficients of its coordinates' terms sum to
+# 2**31 or more in size: then its entries' coefficients may leave int64.
+_ROW_MASS_BITS = 31
+# Coefficient products the build forms at a time: 256 kB per int64 array,
+# which keeps the d = 8 build's peak (tracemalloc) near 4 MB.
+_BLOCK = 1 << 15
 
 
 class _Leads(NamedTuple):
@@ -226,38 +234,6 @@ class _Leads(NamedTuple):
     words: np.ndarray
     ok: np.ndarray
     bits: int
-
-
-def _lead_table(g) -> Optional[_Leads]:
-    n = len(g)
-    i, j = np.tril_indices(n)
-    lower = [g[a][b] for a, b in zip(i.tolist(), j.tolist())]
-    packs = np.array([len(x.terms) <= _LEAD_TERMS
-                      and x.mass.bit_length() <= _LEAD_MASS_BITS
-                      for x in lower], dtype=bool)
-    if not packs.any():
-        return None
-    packed = list(itertools.compress(lower, packs))
-    width = max(1, max(len(x.terms) for x in packed))
-    bits = (8 * max(x.mass for x in packed) + 1).bit_length()
-    pos, p, last = {}, 0, None
-    for e in sorted({e for x in packed for e, _ in x.terms}):
-        if last is not None:
-            p += min(e - last, bits)
-        pos[e], last = p, e
-    if max((p + bits + 1) << bits, (p + 1) * _WORD) >> 63:
-        return None             # keys or words would leave int64
-    pad = [-_WORD + _BIAS] * width
-    words = np.fromiter(itertools.chain.from_iterable(
-        [pos[e] * _WORD + c + _BIAS for e, c in x.terms] + pad[len(x.terms):]
-        for x in packed), dtype=np.int64, count=len(packed) * width)
-    words = words.reshape(len(packed), width)
-    i, j = i[packs], j[packs]
-    table = np.full((n, n, width), pad[0], dtype=np.int64)
-    table[i, j] = table[j, i] = words
-    ok = np.zeros((n, n), dtype=bool)
-    ok[i, j] = ok[j, i] = True
-    return _Leads(_frozen(table), _frozen(ok), bits)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -283,21 +259,25 @@ def _odd(q: int) -> int:
 
 
 def _digits(x: Fraction, m: int) -> Dyadic:
-    """x * m as a Dyadic, for m a multiple of the odd part of x's
-    denominator: p * 2**-k with p = x * m * 2**k an integer. A p of at least
-    2**_LEAD_MASS_BITS becomes its signed binary digits (non-adjacent form:
-    with h = 3|p|, one digit below each bit where h and |p| differ) if it
-    has at most _LEAD_TERMS of them, so that 1 - 2**-e is two terms whose
-    products the leading-term table can pack; otherwise p stays one term."""
+    """x * m as a Dyadic, for m a multiple of the odd part o of x's
+    denominator: p * 2**-k * (m / o), with p = x * o * 2**k the numerator.
+    A p of at least 2**_LEAD_MASS_BITS becomes its signed binary digits
+    (non-adjacent form: with h = 3|p|, one digit below each bit where h and
+    |p| differ) if it has at most _LEAD_TERMS of them, each with
+    coefficient +-m / o, so that 1 - 2**-e is two terms whose products
+    the leading-term table can pack; otherwise p * m / o stays one term.
+    Taking the digits before the odd scale keeps every coefficient of a
+    ladder coordinate as small as m / o, whatever m is."""
     q = x.denominator
     o = _odd(q)
     k = (q // o).bit_length() - 1
-    p = x.numerator * (m // o)
+    p, s = x.numerator, m // o
     a = abs(p)
     h = 3 * a
     if a >> _LEAD_MASS_BITS == 0 or (h ^ a).bit_count() > _LEAD_TERMS:
-        return Dyadic([(-k, p)])
-    s = 1 if p > 0 else -1
+        return Dyadic([(-k, p * s)])
+    if p < 0:
+        s = -s
     terms = []
     for bits, c in (((h & ~a) >> 1, s), ((a & ~h) >> 1, -s)):
         while bits:
@@ -307,36 +287,94 @@ def _digits(x: Fraction, m: int) -> Dyadic:
     return Dyadic(terms)
 
 
+def _runs_sum(x: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Per-run sums of the int64 ``x`` over runs ``start[r]:start[r + 1]``,
+    exact wherever the true sum fits int64: the running sum wraps modulo
+    2**64 (uint64 arithmetic), and a difference of two running sums is the
+    run's sum modulo 2**64."""
+    run = np.zeros(x.size + 1, np.uint64)
+    np.cumsum(x.view(np.uint64), out=run[1:])
+    return (run[start[1:]] - run[start[:-1]]).view(np.int64)
+
+
+class _Entries:
+    """A read-only view of an :class:`ExactGram`'s entries: its n rows, or
+    with ``row`` given, that row's n entries."""
+
+    __slots__ = ("_gram", "_row")
+
+    def __init__(self, gram: "ExactGram", row: Optional[int] = None):
+        self._gram, self._row = gram, row
+
+    def __len__(self) -> int:
+        return self._gram.n
+
+    def __getitem__(self, k: int):
+        if not 0 <= k < self._gram.n:
+            raise IndexError(k)
+        if self._row is None:
+            return _Entries(self._gram, k)
+        return self._gram._entry(self._row, k)
+
+
 class ExactGram(_Kernel):
     """Gram matrix of an exact point set, in units that order exactly.
 
-    Every entry is a sparse :class:`Dyadic`, built in one pass
-    (:func:`~acuta.scalars.dyadic_inner`: every coefficient product added
-    into one dict keyed by its exponent). A set holding a Dyadic (see
-    :class:`PointSet`: a set with a value too large for a dense Fraction
-    keeps all its Dyadic values sparse) is taken as it is, m = 1; its other
-    values must then be dyadic too. A set of Fractions is scaled by m, the
-    lcm of the odd parts of its denominators (1 for a dyadic set), so every
-    coordinate x becomes the dyadic x * m (:func:`_digits`): one term, or
-    the few signed binary digits of a long numerator, such as the two of
-    the ladder's 1 - 2**-e. Raw values -- entries, squared distances, apex
-    dots -- are the true values times m**2 > 0, so their signs and their
-    order are exact; :meth:`value` converts one back, to a Fraction of any
-    size for a Fraction set.
+    **Coordinates.** A set holding a Dyadic (see :class:`PointSet`: a set
+    with a value too large for a dense Fraction keeps all its Dyadic values
+    sparse) is taken as it is, m = 1; its other values must then be dyadic
+    too. A set of Fractions is scaled by m, the lcm of the odd parts of its
+    denominators (1 for a dyadic set), so every coordinate x becomes the
+    dyadic x * m (:func:`_digits`): one term, or the few signed binary
+    digits of a long numerator, such as the two of the ladder's 1 - 2**-e.
+    Raw values -- entries, squared distances, apex dots -- are the true
+    values times m**2 > 0, so their signs and their order are exact;
+    :meth:`value` converts one back, to a Fraction of any size for a
+    Fraction set.
+
+    **Entries in rank space.** Every entry is a sparse :class:`Dyadic`, the
+    sum of the coefficient products c1 * c2 * 2**(e1 + e2) of its two rows,
+    equal exponents merged. The build never forms those sums as Python
+    objects. The distinct exponents e of the coordinate terms are ranked,
+    every pairwise sum e1 + e2 is ranked once among all of them (``_sums``,
+    ascending), and an E x E table maps two exponent ranks to the rank of
+    their sum. A block of entries at a time, numpy forms every product as
+    an int64 (sum rank, c1 * c2) pair, sorts each entry's pairs by rank
+    and sums equal ranks (``np.add.reduceat``); the nonzero sums are kept
+    as one run per entry of ``_ranks`` and ``_coefs``, the runs of the
+    lower triangle in row order. ``g`` is a read-only n-row view:
+    ``g[i][j]`` rebuilds the Dyadic of one entry from its run on first
+    access and keeps it, with the terms that Dyadic arithmetic gives (every
+    exponent's coefficients summed, zeros dropped). The scans rebuild only
+    the entries their exact tests touch.
+
+    **Oversize rule.** A point whose coordinates' coefficients sum to
+    M >= 2**31 in size is oversize, and its row -- every entry with it --
+    is built by Dyadic arithmetic on Python ints, heads by
+    :func:`~acuta.scalars.head_split`, and joins no leading-term table.
+    Every other entry fits int64: for two rows of masses M1, M2 < 2**31,
+    each product and each partial sum of an entry's products is at most
+    sum_k mass(x_k) * mass(y_k) <= M1 * M2 < 2**62 in size. Only a dense
+    coefficient is oversize, such as a numerator of thousands of bits over
+    an odd denominator; the ladder's coefficients are below 2**10.
 
     **Head filter.** Next to each entry x the kernel keeps, in two n x n
-    int64 arrays, a head h and a tail count t with x * 2**H in [h, h + t]
-    (:func:`~acuta.scalars.head_split`: terms at or above 2**-H are exact,
-    each lower one is floored and counted in t). H is chosen from the
-    largest entry, a diagonal one, so that every x * 2**H lies below 2**55
-    in magnitude and sums of four heads and counts never overflow. A raw
-    dot G_ij - G_qi - G_qj + G_qq times 2**H then lies in [D - R, D + R],
-    with D the same sum of heads and R the sum of the four tail counts,
-    whatever H is, because a floored term falls short by less than 1 and
-    never over. The scans bound every dot this way in numpy and run the
-    exact test only where a bound cannot decide: a dot whose lower end
-    exceeds another dot's upper end can be neither the minimum nor tied
-    with it.
+    int64 arrays, a head h and a tail count t with x * 2**H in [h, h + t]:
+    h adds each term c * 2**e as c << (e + H) when e + H >= 0, as its floor
+    c >> -(e + H) otherwise, and t counts the floored terms. H is chosen
+    from the largest entry, a diagonal one, so that every x * 2**H lies
+    below 2**55 in magnitude and sums of four heads and counts never
+    overflow. The shift e + H is computed once per sum rank, on the sorted
+    sums: below -63 it floors every int64 coefficient as -63 does, and at
+    64 or more the term is 0 modulo 2**64. Numpy adds the shifted terms in
+    uint64, which is exact modulo 2**64, and the true h lies within
+    2**55 + t of 0, so the int64 it wraps to is h. A raw dot
+    G_ij - G_qi - G_qj + G_qq times 2**H then lies in [D - R, D + R], with
+    D the same sum of heads and R the sum of the four tail counts, whatever
+    H is, because a floored term falls short by less than 1 and never over.
+    The scans bound every dot this way in numpy and run the exact test only
+    where a bound cannot decide: a dot whose lower end exceeds another
+    dot's upper end can be neither the minimum nor tied with it.
 
     **Leading-term filter** (built only when some tail count is nonzero:
     otherwise every head is exact and the head filter decides every dot).
@@ -345,20 +383,22 @@ class ExactGram(_Kernel):
     ``leads`` keeps each entry of at most 8 terms and coefficient mass below
     2**24 as T (position, coefficient) pairs, each packed into one int64
     word, in n x n x T arrays; T is the most terms of a packed entry.
-    Positions replace exponents: they keep the order of all the exponents
-    of packed entries, and each gap between neighbours up to a cap C,
-    larger gaps becoming C. With M the largest mass of a packed entry, four
-    entries merge into coefficients of at most 4M in size, and
+    Positions replace exponents: with M the largest mass of a packed
+    entry, four entries merge into coefficients of at most 4M in size, and
     C = bitlen(8M + 1) is the bit length of the largest odd number 2v +- 1
-    below. The dots that the heads leave are merged in numpy, their four
-    term lists sorted by position and equal positions summed. Where the
-    leading merged term v * 2**p is isolated -- its gap to the next nonzero
-    term exceeds the bit length of the mass after it, the rule of
-    :func:`~acuta.scalars.dyadic_diff_sign` -- everything after it sums to
-    less than 2**(p - 1) in size, so the dot lies strictly inside
-    ((2v - 1) * 2**(p - 1), (2v + 1) * 2**(p - 1)). Capped positions keep
-    every decision made on these ends: two exponents are either as far
-    apart as their positions, or both gaps are at least C. A gap of C or
+    below. Positions are computed once over the sorted sums, each gap
+    between neighbours capped at C. Two exponents of packed entries are
+    then either as far apart as their positions, or both gaps are at least
+    C: the sums between them split their gap into sub-gaps, and if the gap
+    is below C so is every sub-gap, kept whole, while if it is C or more the
+    capped sub-gaps add up to C or more. The dots that the heads leave are
+    merged in numpy, their four term lists sorted by position and equal
+    positions summed. Where the leading merged term v * 2**p is isolated --
+    its gap to the next nonzero term exceeds the bit length of the mass
+    after it, the rule of :func:`~acuta.scalars.dyadic_diff_sign` --
+    everything after it sums to less than 2**(p - 1) in size, so the dot
+    lies strictly inside ((2v - 1) * 2**(p - 1), (2v + 1) * 2**(p - 1)).
+    Capped positions keep every decision made on these ends. A gap of C or
     more exceeds the bit length of any mass after a leading term, so it
     passes each isolation test just as the true gap does; and with odd
     |a| >= 1 and |b| < 2**C it makes |a| * 2**gap > |b|, so a * 2**x and
@@ -388,26 +428,159 @@ class ExactGram(_Kernel):
             m = math.lcm(*{_odd(x.denominator) for p in points for x in p})
             rows = [[_digits(x, m) for x in p] for p in points]
             self._m2 = m * m
-        g = [[0] * n for _ in range(n)]
-        for i in range(n):
-            ri = rows[i]
-            for j in range(i + 1):
-                g[i][j] = g[j][i] = dyadic_inner(ri, rows[j])
-        self.g = g
+        big = np.array([sum(x.mass for x in p) >> _ROW_MASS_BITS != 0
+                        for p in rows], dtype=bool)
+        tri_i, tri_j = np.tril_indices(n)
+        over = np.flatnonzero(big[tri_i] | big[tri_j]).tolist()
+        self._runs(rows, big, tri_i, tri_j)
+        self._kept = {k: sum((x * y for x, y in zip(rows[tri_i[k]],
+                                                     rows[tri_j[k]])), Dyadic())
+                      for k in over}
         # |G_ij| <= max(G_ii, G_jj) <= top, the largest diagonal entry
         # rounded up to an integer.
-        top = max((sum(head_split(g[i][i], 0)) for i in range(n)), default=0)
-        shift = _HEAD_BITS - top.bit_length()
+        top = max((sum(head_split(self._entry(i, i), 0)) for i in range(n)),
+                  default=0)
+        shift = self._shift = _HEAD_BITS - top.bit_length()
+        h, t = self._heads(shift)
+        for k in over:
+            h[k], t[k] = head_split(self._kept[k], shift)
         heads = np.zeros((n, n), dtype=np.int64)
         tails = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            heads[i, :i + 1], tails[i, :i + 1] = zip(
-                *(head_split(x, shift) for x in g[i][:i + 1]))
-        upper = np.triu_indices(n, k=1)
-        heads[upper] = heads.T[upper]
-        tails[upper] = tails.T[upper]
+        heads[tri_i, tri_j] = heads[tri_j, tri_i] = h
+        tails[tri_i, tri_j] = tails[tri_j, tri_i] = t
         self.heads, self.tails = _frozen(heads), _frozen(tails)
-        self.leads = _lead_table(g) if tails.any() else None
+        self.leads = None
+        if tails.any():
+            packable = np.ones(tri_i.size, dtype=bool)
+            packable[over] = False
+            self.leads = self._lead_table(tri_i, tri_j, packable)
+
+    @property
+    def g(self) -> _Entries:
+        """The entries as a read-only n-row view, ``g[i][j]`` a Dyadic."""
+        return _Entries(self)
+
+    @staticmethod
+    def _index(i: int, j: int) -> int:
+        """The run of entry (i, j) in the lower triangle, row by row."""
+        return (i * (i + 1) >> 1) + j if j <= i else (j * (j + 1) >> 1) + i
+
+    def _entry(self, i: int, j: int) -> Dyadic:
+        k = self._index(i, j)
+        x = self._kept.get(k)
+        if x is None:
+            a, b = self._start[k], self._start[k + 1]
+            x = Dyadic(zip(map(self._sums.__getitem__,
+                               self._ranks[a:b].tolist()),
+                           self._coefs[a:b].tolist()))
+            self._kept[k] = x
+        return x
+
+    def _runs(self, rows, big, tri_i, tri_j) -> None:
+        """The entries' nonzero (sum rank, coefficient) runs, every
+        oversize row's left empty."""
+        n = self.n
+        dim = len(rows[0]) if n else 1
+        small = [p for p, b in zip(rows, big) if not b]
+        exps = sorted({e for p in small for x in p for e, _ in x.terms})
+        index = {e: r for r, e in enumerate(exps)}
+        # Rank the pair sums, listed row by row of the upper triangle: each
+        # row ascends, so the sort merges runs.
+        flat = [a + b for r, a in enumerate(exps) for b in exps[r:]]
+        sums, rank, last = [], [0] * len(flat), None
+        for k in sorted(range(len(flat)), key=flat.__getitem__):
+            if flat[k] != last:
+                last = flat[k]
+                sums.append(last)
+            rank[k] = len(sums) - 1
+        table = np.zeros((max(len(exps), 1),) * 2, dtype=np.int64)
+        iu, ju = np.triu_indices(len(exps))
+        table[iu, ju] = table[ju, iu] = rank
+        w = max((len(x.terms) for p in small for x in p), default=1) or 1
+        er = np.zeros((n, dim, w), dtype=np.int64)
+        co = np.zeros((n, dim, w), dtype=np.int64)
+        for i, p in enumerate(rows):
+            if not big[i]:
+                for k, x in enumerate(p):
+                    for s, (e, c) in enumerate(x.terms):
+                        er[i, k, s], co[i, k, s] = index[e], c
+        width = dim * w * w
+        counts = np.zeros(tri_i.size, dtype=np.int64)
+        ranks, coefs = [], []
+        step = max(1, _BLOCK // width)
+        for k0 in range(0, tri_i.size, step):
+            a, b = tri_i[k0:k0 + step], tri_j[k0:k0 + step]
+            rk = table[er[a][..., :, None], er[b][..., None, :]]
+            cf = co[a][..., :, None] * co[b][..., None, :]
+            rk, cf = rk.reshape(a.size, width), cf.reshape(a.size, width)
+            order = rk.argsort(axis=1)
+            rk = np.take_along_axis(rk, order, 1).ravel()
+            cf = np.take_along_axis(cf, order, 1).ravel()
+            first = np.ones(rk.size, dtype=bool)
+            first[1:] = rk[1:] != rk[:-1]
+            first[::width] = True
+            at = np.flatnonzero(first)
+            cf = np.add.reduceat(cf, at)
+            nz = cf != 0
+            at = at[nz]
+            counts[k0:k0 + a.size] = np.bincount(at // width,
+                                                 minlength=a.size)
+            ranks.append(rk[at].astype(np.int32))
+            coefs.append(cf[nz])
+        start = np.zeros(tri_i.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=start[1:])
+        self._start, self._sums = start, sums
+        self._ranks = np.concatenate(ranks or [np.zeros(0, np.int32)])
+        self._coefs = np.concatenate(coefs or [np.zeros(0, np.int64)])
+
+    def _heads(self, shift: int):
+        """Heads and tail counts at 2**shift of every entry's run."""
+        sums = self._sums
+        lo = bisect.bisect_left(sums, -63 - shift)
+        hi = bisect.bisect_left(sums, 64 - shift)
+        at = np.full(len(sums), -63, dtype=np.int64)
+        at[hi:] = 64
+        at[lo:hi] = [s + shift for s in sums[lo:hi]]
+        s, c = at[self._ranks], self._coefs
+        up = c.view(np.uint64) << np.clip(s, 0, 63).astype(np.uint64)
+        down = (c >> np.clip(-s, 0, 63)).view(np.uint64)
+        terms = np.where(s < 0, down, np.where(s < 64, up, 0))
+        return (_runs_sum(terms.view(np.int64), self._start),
+                _runs_sum((s < 0).astype(np.int64), self._start))
+
+    def _lead_table(self, tri_i, tri_j, packable) -> Optional[_Leads]:
+        """The leading-term table of the ``packable`` entries' runs that
+        fit it, or None if none does or a key would leave int64."""
+        start, ranks, coefs = self._start, self._ranks, self._coefs
+        size = np.diff(start)
+        mass = _runs_sum(np.abs(coefs), start)
+        packs = (packable & (size <= _LEAD_TERMS)
+                 & (mass >> _LEAD_MASS_BITS == 0))
+        if not packs.any():
+            return None
+        bits = (8 * int(mass[packs].max()) + 1).bit_length()
+        pos = np.zeros(len(self._sums), dtype=np.int64)
+        gaps = np.diff(np.array(self._sums, dtype=object))
+        np.cumsum(np.minimum(gaps, bits).astype(np.int64), out=pos[1:])
+        p = int(pos[-1]) if pos.size else 0
+        if max((p + bits + 1) << bits, (p + 1) * _WORD) >> 63:
+            return None             # keys or words would leave int64
+        sel = np.flatnonzero(packs)
+        size = size[sel]
+        width = max(1, int(size.max()))
+        pad = -_WORD + _BIAS
+        words = np.full((sel.size, width), pad, dtype=np.int64)
+        row = np.repeat(np.arange(sel.size), size)
+        off = np.arange(row.size) - np.repeat(np.cumsum(size) - size, size)
+        src = start[sel][row] + off
+        words[row, size[row] - 1 - off] = (pos[ranks[src]] * _WORD
+                                           + coefs[src] + _BIAS)
+        i, j = tri_i[sel], tri_j[sel]
+        table = np.full((self.n, self.n, width), pad, dtype=np.int64)
+        table[i, j] = table[j, i] = words
+        ok = np.zeros((self.n, self.n), dtype=bool)
+        ok[i, j] = ok[j, i] = True
+        return _Leads(_frozen(table), _frozen(ok), bits)
 
     def value(self, raw) -> RawScalar:
         """The true value of a raw quantity."""
@@ -439,11 +612,12 @@ class ExactGram(_Kernel):
         return max(self.sqdist(i, j)
                    for i, j in zip(iu[keep].tolist(), ju[keep].tolist()))
 
-    def _lead_bounds(self, q: int, a, b):
+    def _lead_bounds(self, q, a, b):
         """Keys ``lo`` and ``hi`` with lo < dot < hi for the raw dots
-        (q; a, b) at apex q (``a``, ``b`` index arrays of one shape), and
-        the mask of the dots they hold for: all four entries packed and the
-        leading merged term isolated. Elsewhere ``lo`` and ``hi`` are 0."""
+        (q; a, b) (``a``, ``b`` index arrays of one shape, ``q`` one apex
+        or an array of that shape too), and the mask of the dots they hold
+        for: all four entries packed and the leading merged term isolated.
+        Elsewhere ``lo`` and ``hi`` are 0."""
         table, ok, bits = self.leads
         k = a.size
         lo, hi = np.zeros(k, np.int64), np.zeros(k, np.int64)
@@ -482,6 +656,48 @@ class ExactGram(_Kernel):
         lo[rows] = _keys(2 * v - 1, top - 1, bits)
         hi[rows] = _keys(2 * v + 1, top - 1, bits)
         return lo, hi, sure
+
+    def first_failure(self, fails):
+        """As :meth:`_Kernel.first_failure`, for a ``fails`` that depends
+        on the sign of the raw dot alone and is false for a positive one:
+        both rules of :mod:`acuta.verify` are, on an exact kernel, whose
+        strict margin is 0. So only ``fails(-1)`` and ``fails(0)`` are
+        asked, once.
+
+        The signs of each block of angles (the triples of one i, every
+        j < k after it) are bounded in numpy: D - R > 0 or a positive lower
+        leading-term key makes a dot positive, D + R < 0 or a negative upper
+        key negative, and D = R = 0 zero. Only the angles whose sign fails
+        or stays open rebuild their entries, in sweep order, until the first
+        whose exact sign fails.
+        """
+        bad = [s for s in (-1, 0) if fails(s)]
+        n, h, t = self.n, self.heads, self.tails
+        checked = 0
+        for i in range(n - 2) if bad else ():
+            j, k = np.triu_indices(n - i - 1, k=1)
+            j += i + 1
+            k += i + 1
+            f = np.full_like(j, i)
+            q = np.stack((f, j, k), 1).ravel()
+            a = np.stack((j, f, f), 1).ravel()
+            b = np.stack((k, k, j), 1).ravel()
+            d = h[a, b] - h[q, a] - h[q, b] + h[q, q]
+            r = t[a, b] + t[q, a] + t[q, b] + t[q, q]
+            sign = np.where(d - r > 0, 1, np.where(
+                d + r < 0, -1, np.where(r == 0, 0, 2)))     # 2: open
+            if self.leads is not None:
+                left = np.flatnonzero(sign == 2)
+                lo, hi, sure = self._lead_bounds(q[left], a[left], b[left])
+                sign[left[sure & (lo > 0)]] = 1
+                sign[left[sure & (hi < 0)]] = -1
+            for x in np.flatnonzero(np.isin(sign, bad + [2])).tolist():
+                angle = (int(q[x]), int(a[x]), int(b[x]))
+                dot = self.dot(*angle)
+                if dot.sign() in bad:
+                    return checked + x // 3 + 1, angle, dot
+            checked += j.size
+        return math.comb(n, 3), None, None
 
     def min_dots(self, apexes: Sequence[int]):
         """Smallest raw apex dot over ``apexes`` and every ``(q, i, j)``
@@ -610,8 +826,9 @@ def kernel(ps: PointSet) -> _Kernel:
     and the re-checks that follow it build one Gram matrix. A call on any
     other set (an equal copy too) first drops the kept kernel, then builds.
     At most one kernel outlives its call, and it goes when its set dies or
-    another set is scanned. The kept d = 8 ladder kernel holds 5.7 MB and
-    the d = 10 one 104 MB (tracemalloc). Its arrays are read-only, so no
+    another set is scanned. The kept d = 8 ladder kernel holds 2.0 MB and
+    the d = 10 one 34 MB after its certificate (tracemalloc, CPython 3.11
+    on a 2-core Intel Xeon). Its arrays are read-only, so no
     scan can change what the next one sees.
     """
     global _last

@@ -83,20 +83,6 @@ def dyadic_diff_sign(a: "Dyadic", b: "Dyadic", c: "Dyadic") -> int:
     return _sign(terms, a.mass + b.mass + c.mass)
 
 
-def dyadic_inner(xs, ys) -> "Dyadic":
-    """Exactly sum(x * y) over pairs of Dyadics, in one pass: every product
-    c1 * c2 is added into one dict keyed by e1 + e2, and only the total
-    becomes a Dyadic."""
-    acc: dict = {}
-    get = acc.get
-    for x, y in zip(xs, ys):
-        for e1, c1 in x.terms:
-            for e2, c2 in y.terms:
-                e = e1 + e2
-                acc[e] = get(e, 0) + c1 * c2
-    return Dyadic._of_acc(acc)
-
-
 def head_split(x: "Dyadic", shift: int):
     """Integer head ``h`` and tail count ``t`` with
     ``h <= x * 2**shift <= h + t``.

@@ -17,8 +17,7 @@ from acuta import (Dyadic, GeometryError, PointSet, TripleWitness,
 from acuta import geometry
 from acuta.construct import (ConstructionConfig, construct_full,
                              hypercube_vertices, perturb_vertex, safe_radius)
-from acuta.geometry import (_LEAD_TERMS, ExactGram, _digits, _keys,
-                            _lead_table, kernel)
+from acuta.geometry import _LEAD_TERMS, ExactGram, _digits, _keys, kernel
 from acuta.scalars import FRACTION_BITS
 from acuta.verify import (verify_acute, verify_antipodal_witness,
                           verify_nonobtuse)
@@ -264,10 +263,13 @@ class TestExactGram:
             for y in (x, -x):
                 d = _digits(y, m)
                 assert d == y * m
-                # One term, or up to _LEAD_TERMS signed binary digits.
+                # One term, or up to _LEAD_TERMS signed binary digits of
+                # the numerator, each scaled by m over the odd part of the
+                # denominator.
+                scale = m // _odd_part(y.denominator)
                 assert len(d.terms) <= 1 or (
                     len(d.terms) <= _LEAD_TERMS
-                    and all(abs(c) == 1 for _, c in d.terms))
+                    and all(abs(c) == scale for _, c in d.terms))
 
     @pytest.mark.parametrize("k", [25, 26, 100, 12028])
     def test_all_ones_numerators_become_two_digits(self, k):
@@ -329,6 +331,89 @@ class TestKickedLadder:
         q, i, j = args[0]
         assert gram.value(raw) == sum((a - z) * (b - z) for a, b, z in
                                       zip(pts[i], pts[j], pts[q])) > 0
+
+
+def _bracketed(gram):
+    """Every entry x of the kernel has h <= x * 2**H <= h + t, in integers
+    scaled by 2**-low (a Fraction check would spend its time in gcds)."""
+    shift = gram._shift
+    for i, j in itertools.product(range(gram.n), repeat=2):
+        x = gram.g[i][j]
+        h, t = int(gram.heads[i, j]), int(gram.tails[i, j])
+        low = min([0] + [e + shift for e, _ in x.terms])
+        v = sum(c << (e + shift - low) for e, c in x.terms)
+        assert h << -low <= v <= (h + t) << -low
+
+
+# Dyadic coordinates whose terms cancel: c * 2**(e + 1) - 2c * 2**e is kept
+# as two terms, so products of such coordinates make entries of large terms
+# with small sums. Coefficients range from a few bits to past the oversize
+# mass 2**31 of a row.
+_coefs = st.one_of(st.integers(-9, 9), st.integers(-2 ** 29, 2 ** 29),
+                   st.integers(-2 ** 100, 2 ** 100))
+_cancelling = st.builds(
+    lambda terms, pairs: Dyadic(
+        terms + [t for e, c in pairs for t in ((e + 1, c), (e, -2 * c))]),
+    st.lists(st.tuples(st.integers(-90, 90), _coefs), max_size=3),
+    st.lists(st.tuples(st.integers(-90, 90), _coefs), max_size=2))
+
+
+def _oversize_point(rng, dim):
+    """A point whose first coordinate has a numerator of 100 bits and more
+    than _LEAD_TERMS signed binary digits: one term, an oversize row."""
+    big = rng.choice((-1, 1)) * (2 ** 100 // 3 + rng.randint(0, 2 ** 20))
+    return (F(big, 2 ** rng.randint(0, 40)),) + tuple(
+        F(rng.randint(-9, 9), rng.choice((1, 2, 4))) for _ in range(dim - 1))
+
+
+class TestRankSpaceBuild:
+    """The build forms entries, heads and tails from int64 runs, and the
+    rows of oversize points with Python ints: every entry must be the
+    exact inner product, and every head must bracket it."""
+
+    @given(st.lists(st.lists(_cancelling, min_size=3, max_size=3),
+                    min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_entries_and_heads_of_cancelling_terms(self, rows):
+        gram = ExactGram(rows)
+        assert len(gram.g) == len(rows)
+        for i, j in itertools.product(range(len(rows)), repeat=2):
+            x = gram.g[i][j]
+            assert x.to_fraction() == sum(
+                (a.to_fraction() * b.to_fraction()
+                 for a, b in zip(rows[i], rows[j])), F(0))
+            assert all(c for _, c in x.terms)
+            assert x.terms == tuple(sorted(x.terms, reverse=True))
+        _bracketed(gram)
+
+    @given(st.integers(0, 10 ** 6), st.integers(3, 9), st.integers(2, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_heads_bracket_entries_below_h_zero(self, seed, n, dim):
+        gram = ExactGram(_near_2_70(seed, n, dim))
+        assert gram._shift < 0
+        _bracketed(gram)
+
+    @given(st.integers(0, 10 ** 6), st.integers(3, 8), st.integers(2, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_an_oversize_row_among_int64_rows(self, seed, n, dim):
+        # One point with a 2**100 coefficient: its row is built with Python
+        # ints, every other entry from int64 runs; scans, first failures
+        # and the margin must still equal the naive loops.
+        rng = random.Random(seed)
+        pts = list(random_rational_set(seed=seed, n=n, dim=dim).points)
+        pts[rng.randrange(n)] = _oversize_point(rng, dim)
+        gram = ExactGram(pts)
+        m = math.lcm(*(_odd_part(x.denominator) for p in pts for x in p))
+        for i, j in itertools.product(range(len(pts)), repeat=2):
+            assert gram.value(gram.g[i][j]) == sum(
+                a * b for a, b in zip(pts[i], pts[j]))
+        assert gram.value(Dyadic.pow2(0)) == F(1, m * m)
+        _bracketed(gram)
+        TestHeadFilter.check(pts)
+        TestHeadFilter.check(pts, sparse=True)
+        ps = PointSet(dim=dim, points=pts, backend="rational")
+        margin, witness = set_margin(ps)
+        assert (margin, witness.indices()) == naive_margin(pts)
 
 
 def _not_acute(dot):
@@ -415,6 +500,24 @@ class TestHeadFilter:
         pts = _fine_cube(seed, dim)
         assert ExactGram([[Dyadic.of(x) for x in p] for p in pts]).tails.any()
         self.check(pts, sparse=True)
+
+    def test_d6_ladder_sweeps(self):
+        # The certified d = 6 set sweeps every angle, most of them settled
+        # only by the leading-term keys; with its apex moved to the centre
+        # of the cube it fails at triple 196, the first whose angle at the
+        # centre spans an antipodal pair.
+        pts = list(construct_full(ConstructionConfig(dim=6))[0].points)
+        gram = ExactGram(pts)
+        assert gram.leads is not None
+        for rule in (_not_acute, _obtuse):
+            assert gram.first_failure(rule) == (math.comb(33, 3), None, None)
+        pts[-1] = (F(1, 2),) * 5 + (F(0),)
+        gram = ExactGram(pts)
+        oracle = [[Dyadic.of(x) for x in p] for p in pts]
+        for rule in (_not_acute, _obtuse):
+            checked, angle, dot = gram.first_failure(rule)
+            assert checked == 196
+            assert (checked, angle, dot) == naive_first_failure(oracle, rule)
 
 
 def _apex(dim):
@@ -549,18 +652,27 @@ class TestLeadingTermFilter:
 
     @pytest.mark.parametrize("gap", [1, 2, 3, 4, 5, 6, 40])
     def test_capped_positions_order_every_pair_of_ends(self, gap):
-        # Unit entries (mass 1, so C = bitlen(9) = 4) at exponents whose
-        # neighbours lie gap, C - 1, C and C + 1 apart; every odd a, b up to
-        # 2 * 4 + 1 must compare at their positions as at their exponents.
-        exps = [0, -gap, -gap - 3, -gap - 7, -gap - 12]
-        g = [[Dyadic.pow2(exps[min(i, j)]) for j in range(5)]
-             for i in range(5)]
-        leads = _lead_table(g)
-        assert leads.bits == 4
-        at = {x.terms[0][0]: int(w[0] >> 25)
-              for row, words in zip(g, leads.words) for x, w in zip(row, words)}
+        # Points 2**(f + d) on a line, f = -100 far below 2**-H: every entry
+        # is one unit term (mass 1, so C = bitlen(9) = 4) at an exponent
+        # 2f + d1 + d2, and their neighbours lie gap and C - 1, C and C + 1
+        # apart, among others. Positions are taken over all pair sums; every
+        # two exponents must lie as far apart at their positions, or both
+        # at least C apart, and every odd a, b up to 2 * 4 + 1 must compare
+        # at their positions as at their exponents.
+        ds = [0, -gap, -gap - 3, -gap - 7, -gap - 12]
+        pts = [(F(2) ** (-100 + d),) for d in ds]
+        gram = ExactGram(pts)
+        leads = gram.leads
+        assert leads.bits == 4 and leads.ok.all()
+        at = {gram.g[i][j].terms[0][0]: int(leads.words[i, j, 0] >> 25)
+              for i, j in itertools.product(range(5), repeat=2)}
+        gaps = set(np.diff(sorted(at)).tolist())
+        assert {gap, 3, 4, 5} <= gaps
         odd = np.array([a for a in range(-9, 10, 2)])
         for e1, e2 in itertools.product(at, repeat=2):
+            if e1 > e2:
+                apart = at[e1] - at[e2]
+                assert apart == e1 - e2 or min(apart, e1 - e2) >= 4
             k1 = _keys(odd, np.full(odd.shape, at[e1]), leads.bits)
             k2 = _keys(odd, np.full(odd.shape, at[e2]), leads.bits)
             for a, x in zip(odd.tolist(), k1.tolist()):

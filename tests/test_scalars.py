@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acuta import Dyadic, ScalarError, Tolerance
-from acuta.scalars import as_exact, dyadic_inner, head_split
+from acuta.scalars import as_exact, head_split
 
 
 class TestTolerance:
@@ -82,17 +82,6 @@ class TestDyadicAgainstFraction:
             return
         e = a.floor_log2()
         assert Fraction(2) ** e <= abs(fa) < Fraction(2) ** (e + 1)
-
-    @given(st.lists(st.tuples(dyadic_terms, dyadic_terms), max_size=5))
-    @settings(max_examples=100)
-    def test_inner_product_in_one_pass(self, pairs):
-        xs = [dyadic_value(t1) for t1, _ in pairs]
-        ys = [dyadic_value(t2) for _, t2 in pairs]
-        got = dyadic_inner([x for x, _ in xs], [y for y, _ in ys])
-        want = sum((fx * fy for (_, fx), (_, fy) in zip(xs, ys)), Fraction(0))
-        assert got.to_fraction() == want
-        assert all(c for _, c in got.terms)
-        assert got.terms == tuple(sorted(got.terms, reverse=True))
 
     def test_sign_across_huge_gaps(self):
         one = Dyadic.pow2(0)

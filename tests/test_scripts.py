@@ -22,3 +22,28 @@ def test_script_exits_0(script, args, expect):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert expect in proc.stdout
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    # `bench/run.py --trace 1` wraps package attributes through
+    # bench/spans.py; one that moves or is renamed must fail here, not
+    # silently read 0 in the traced run.
+    import importlib.util
+
+    from acuta import geometry, set_margin
+    from tests.conftest import random_rational_set
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    init = geometry.ExactGram.__dict__["__init__"]
+    tracer = spans.Tracer("test")
+    tracer.install()
+    try:
+        set_margin(random_rational_set(1, 6, 3))
+    finally:
+        tracer.uninstall()
+    assert geometry.ExactGram.__dict__["__init__"] is init
+    assert {"geometry.gram", "geometry.scan"} <= {
+        s["name"] for s in tracer.spans}
