@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -59,15 +59,6 @@ __all__ = [
 
 class ConstructionError(RuntimeError):
     """The requested set is out of reach, or failed its guard or certificate."""
-
-
-def _coupled(mu: int, s: RawScalar) -> Tuple[RawScalar, RawScalar]:
-    """The coupled step sizes (a, b) = ((d-1) s^2, (d-1) s).
-
-    Producer and trace validator both call this, so the float backend gets
-    bit-identical values on both sides.
-    """
-    return mu * s * s, mu * s
 
 
 @dataclass(frozen=True)
@@ -102,38 +93,28 @@ class ConstructionConfig:
 class TraceStep:
     """One displacement: vertex ``index`` moved by at most ``eps``.
 
-    ``s`` is the coupled scale of the step, ``a`` and ``b`` its in-plane and
-    lift components. For table-design steps the displacement is free-form and
-    ``s`` is the nominal scale ``eps/(d-1)`` of a coupled step with the same
-    displacement bound; for ladder steps ``s`` is the scale actually applied.
+    A ladder step keeps the scale ``s`` of the coupled step it applied (see
+    :func:`perturb_vertex`; its in-plane and lift parts follow from s). A
+    frozen design moves its vertices freely, so its steps have ``s = None``.
     """
 
     index: int
     eps: RawScalar
-    s: RawScalar
-    a: RawScalar
-    b: RawScalar
+    s: Optional[RawScalar] = None
 
 
 @dataclass(frozen=True)
 class ConstructionTrace:
+    """The steps that built a cube part, in the order they were taken:
+    each vertex once, with eps never increasing."""
+
     dim: int
     backend: Backend
-    vertex_order: Tuple[int, ...]
-    steps: Tuple[TraceStep, ...] = field(default=())
+    steps: Tuple[TraceStep, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.vertex_order)
-        if len(self.steps) != n:
-            raise ValueError("one step per vertex required")
-        if sorted(self.vertex_order) != list(range(n)):
-            raise ValueError("vertex_order must be a permutation of 0..n-1")
-        for k, (st, idx) in enumerate(zip(self.steps, self.vertex_order)):
-            if st.index != idx:
-                raise ValueError(
-                    f"step {k} moves vertex {st.index}; vertex_order puts "
-                    f"vertex {idx} there")
-        mu = self.dim - 1
+        if sorted(self.vertex_order) != list(range(len(self.steps))):
+            raise ValueError("step indices must be a permutation of 0..n-1")
         prev = None
         for st in self.steps:
             if st.eps < 0:
@@ -141,10 +122,11 @@ class ConstructionTrace:
             if prev is not None and st.eps > prev:
                 raise ValueError("eps must be non-increasing along the trace")
             prev = st.eps
-            a, b = _coupled(mu, st.s)
-            if st.a != a or st.b != b:
-                raise ValueError(
-                    f"step {st.index} breaks the coupling a=(d-1)s^2, b=(d-1)s")
+
+    @property
+    def vertex_order(self) -> Tuple[int, ...]:
+        """The vertices in the order the steps moved them."""
+        return tuple(st.index for st in self.steps)
 
 
 def hypercube_vertices(d: int, backend: Backend = RATIONAL) -> PointSet:
@@ -183,7 +165,7 @@ def perturb_vertex(v: Point, s: RawScalar) -> Point:
     mu = d - 1
     if not s > 0:
         raise GeometryError(f"step scale must be positive, got {s}")
-    a, b = _coupled(mu, s)
+    a, b = mu * s * s, mu * s
     if not a < 1:
         raise GeometryError(f"step too large: (d-1)*s^2 = {a} >= 1")
     coords = tuple(a if v[j] == 0 else 1 - a for j in range(mu))
@@ -232,7 +214,7 @@ def lemma_check(d: int, s) -> LemmaReport:
         raise ValueError(f"need d >= 2, got {d}")
     s = Fraction(s)
     mu = d - 1
-    a, b = _coupled(mu, s)
+    a, b = mu * s * s, mu * s
     if not (s > 0 and a < 1):
         raise ValueError(f"scale {s} out of range for d = {d}")
     residual = b * b - mu * a
@@ -343,35 +325,21 @@ def _sqrt_upper_common(values: List[Fraction]) -> List[Fraction]:
         bits *= 2
 
 
-def _make_trace(dim: int, backend: Backend, order: List[int],
-                eps_list: List[RawScalar],
-                s_list: List[RawScalar]) -> ConstructionTrace:
-    mu = dim - 1
-    steps = []
-    for idx, eps, s in zip(order, eps_list, s_list):
-        a, b = _coupled(mu, s)
-        steps.append(TraceStep(index=idx, eps=eps, s=s, a=a, b=b))
-    return ConstructionTrace(dim=dim, backend=backend,
-                             vertex_order=tuple(order), steps=tuple(steps))
-
-
 def _nominal_trace(dim: int, backend: Backend,
                    originals: Sequence[Point],
                    moved: Sequence[Point]) -> ConstructionTrace:
     """Trace for free-form designs: steps ordered by decreasing displacement,
-    eps an upper bound on the actual displacement, s the nominal eps/(d-1)."""
-    mu = dim - 1
+    eps an upper bound on the actual displacement, no scale."""
     n = len(originals)
     d2 = [dot_at_apex(originals[i], moved[i], moved[i]) for i in range(n)]
     order = sorted(range(n), key=lambda i: (-d2[i], i))
     if backend == RATIONAL:
         eps_sorted = _sqrt_upper_common([d2[i] for i in order])
-        s_sorted = [e / mu for e in eps_sorted]
     else:
         eps_sorted = [math.nextafter(math.sqrt(d2[i]), math.inf) if d2[i] else 0.0
                       for i in order]
-        s_sorted = [e / mu for e in eps_sorted]
-    return _make_trace(dim, backend, order, eps_sorted, s_sorted)
+    return ConstructionTrace(dim, backend, tuple(
+        TraceStep(index=i, eps=e) for i, e in zip(order, eps_sorted)))
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +357,7 @@ def construct_acute_cube(cfg: ConstructionConfig) -> Tuple[PointSet, Constructio
             pts = tuple(tuple(float(x) for x in row) for row in rows)
         originals = hypercube_vertices(d, cfg.backend).points
         trace = _nominal_trace(d, cfg.backend, originals, pts)
-        ps = PointSet(dim=d, points=pts, backend=cfg.backend,
-                      provenance={"schedule": "adaptive", "design": f"d{d}"})
-        return ps, trace
+        return PointSet(dim=d, points=pts, backend=cfg.backend), trace
 
     if cfg.backend == FLOAT64:
         # float64 bottoms out near 2**-1074.
@@ -402,15 +368,26 @@ def construct_acute_cube(cfg: ConstructionConfig) -> Tuple[PointSet, Constructio
             f"backend for d <= {_designs.LADDER_MAX_DIM}")
     if d > _designs.LADDER_MAX_DIM:
         top = _designs.LADDER_MAX_DIM
-        dots, dots_top = _apex_dots(d), _apex_dots(top)
+        dots_top = _apex_dots(top)
         secs = _designs.LADDER_MAX_DIM_SECONDS
+        # The scan has fewer than 2**(3d - 4) dots. While secs times that
+        # fits a float64 the figures are printed in full (d <= 341), beyond
+        # as powers of ten, so that no huge integer is built or printed.
+        if math.log2(secs) + 3 * d - 4 < 1023:
+            dots = _apex_dots(d)
+            points, dots_text = f"{2 ** (d - 1) + 1}", f"{dots:,}"
+            took = f"{secs * dots / dots_top:,.0f}"
+        else:
+            lg2 = math.log10(2)
+            points = f"~10^{(d - 1) * lg2:.0f}"
+            dots_text = f"~10^{(3 * d - 4) * lg2:.0f}"
+            took = f"10^{(3 * d - 4) * lg2 + math.log10(secs / dots_top):.0f}"
         raise ConstructionError(
             f"construction at d = {d} is beyond the ladder's limit "
-            f"d = {top}: certifying its {2 ** (d - 1) + 1} points takes "
-            f"{dots:,} exact apex dots and its deepest ladder scale is "
+            f"d = {top}: certifying its {points} points takes "
+            f"{dots_text} exact apex dots and its deepest ladder scale is "
             f"2**-{_deepest_exponent(d)}; d = {top} checks {dots_top:,} dots "
-            f"in {secs:.1f} s, so d = {d} would take about "
-            f"{secs * dots / dots_top:,.0f} s")
+            f"in {secs:.1f} s, so d = {d} would take about {took} s")
     return _ladder(cfg)
 
 
@@ -423,8 +400,13 @@ def _apex_dots(d: int) -> int:
 def _deepest_exponent(d: int) -> str:
     """The last ladder exponent k_L = k_1 3^(L-1) + (3^(L-1) - 1)/2, as text.
 
-    Exact up to 2**12 levels (d <= 14), a decimal magnitude beyond.
+    Exact up to 2**12 levels (d <= 14), a decimal magnitude beyond, and the
+    magnitude of that magnitude once L = 2**(d-2) leaves the float64 range
+    (d >= 1026).
     """
+    if d - 2 >= 1024:
+        lg = (d - 2) * math.log10(2) + math.log10(math.log10(3))
+        return f"(about 10^(10^{lg:.0f}))"
     levels = 2 ** (d - 2)
     k1 = _designs.ladder_k1(d)
     if levels > 1 << 12:
@@ -457,19 +439,17 @@ def _ladder(cfg: ConstructionConfig) -> Tuple[PointSet, ConstructionTrace]:
         k_of_class[rep] = k_of_class[tuple(1 - x for x in rep)] = k
     k_of = [k_of_class[v] for v in verts]
 
+    scales = [Dyadic.pow2(-k) for k in k_of]
     originals = hypercube_vertices(d, RATIONAL).points
-    moved = tuple(perturb_vertex(o, Dyadic.pow2(-k))
-                  for o, k in zip(originals, k_of))
+    moved = tuple(perturb_vertex(o, s) for o, s in zip(originals, scales))
     # A vertex moves by sqrt(mu^2 s^2 + mu^3 s^4) = mu s sqrt(1 + mu s^2),
     # which the dyadic mu s + mu^2 s^3 bounds from above.
-    order = sorted(range(len(verts)), key=lambda i: (k_of[i], i))
-    s_sorted = [Dyadic.pow2(-k_of[i]) for i in order]
-    eps_sorted = [mu * s + mu * mu * s * s * s for s in s_sorted]
-    trace = _make_trace(d, RATIONAL, order, eps_sorted, s_sorted)
-    ps = PointSet(dim=d, points=moved, backend=RATIONAL,
-                  provenance={"schedule": "adaptive", "design": f"ladder-d{d}",
-                              "ks": list(ks)})
-    return ps, trace
+    steps = []
+    for i in sorted(range(len(verts)), key=lambda i: (k_of[i], i)):
+        s = scales[i]
+        steps.append(TraceStep(index=i, eps=mu * s + mu * mu * s * s * s, s=s))
+    trace = ConstructionTrace(d, RATIONAL, tuple(steps))
+    return PointSet(dim=d, points=moved, backend=RATIONAL), trace
 
 
 def triangle_has_nonacute(a: Point, b: Point, c: Point) -> bool:
@@ -498,9 +478,7 @@ def construct_full(cfg: ConstructionConfig):
         lim: RawScalar = 2 * (Fraction(d - 1, 4) + Fraction(c) * Fraction(c))
     else:
         lim = 2.0 * ((d - 1) / 4.0 + float(c) * float(c))
-    full = PointSet(dim=d, points=pts + (apex,), backend=cfg.backend,
-                    provenance={**(cube.provenance or {}),
-                                "apex_height": str(c)})
+    full = PointSet(dim=d, points=pts + (apex,), backend=cfg.backend)
     gram = kernel(full)
     # The set's squared diameter bounds every cube pair; only when it does
     # not clear the guard are the pairs converted one by one.
@@ -544,6 +522,4 @@ def random_baseline(dim: int, trials: int = 200, seed: int = 0) -> PointSet:
                     break
         if good and cand not in kept:
             kept.append(cand)
-    return PointSet(dim=dim, points=tuple(kept), backend=FLOAT64,
-                    provenance={"schedule": "random-baseline",
-                                "trials": trials, "seed": seed})
+    return PointSet(dim=dim, points=tuple(kept), backend=FLOAT64)

@@ -44,7 +44,7 @@ import bisect
 import itertools
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -107,7 +107,6 @@ class PointSet:
     dim: int
     points: Tuple[Point, ...]
     backend: Backend
-    provenance: Optional[dict] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:

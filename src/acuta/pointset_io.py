@@ -7,6 +7,12 @@ The native format is JSON with three fixed keys plus an optional trace:
      "points": [[...], ...],          # "p/q" strings, or bare floats
      "trace": {...}}                  # optional construction trace
 
+A trace holds ``backend``, ``dim`` and ``steps``, one step per cube vertex
+in the order they moved, each ``{"eps", "index", "s"}``: the vertex, a bound
+on its displacement, and the scale of the ladder step that moved it (null
+for a frozen design's step). The reader ignores keys it does not model,
+such as the ``a``, ``b`` and ``vertex_order`` that older files carry.
+
 Serialization is canonical — keys sorted, no whitespace — so equal sets
 produce byte-identical files. Rational coordinates are written as "p/q"
 strings in lowest terms, which holds every exact value up to
@@ -113,11 +119,9 @@ def _trace_to_obj(trace: ConstructionTrace) -> dict:
     return {
         "dim": trace.dim,
         "backend": trace.backend,
-        "vertex_order": list(trace.vertex_order),
         "steps": [
             {"index": st.index, "eps": render_coord(st.eps),
-             "s": render_coord(st.s), "a": render_coord(st.a),
-             "b": render_coord(st.b)}
+             "s": None if st.s is None else render_coord(st.s)}
             for st in trace.steps
         ],
     }
@@ -140,14 +144,11 @@ def _trace_from_obj(obj, dim: int, backend: str) -> ConstructionTrace:
         steps = tuple(
             TraceStep(index=int(st["index"]),
                       eps=_parse_coord(st["eps"], backend),
-                      s=_parse_coord(st["s"], backend),
-                      a=_parse_coord(st["a"], backend),
-                      b=_parse_coord(st["b"], backend))
+                      s=None if st["s"] is None
+                      else _parse_coord(st["s"], backend))
             for st in obj["steps"]
         )
-        return ConstructionTrace(dim=dim, backend=backend,
-                                 vertex_order=tuple(int(i) for i in obj["vertex_order"]),
-                                 steps=steps)
+        return ConstructionTrace(dim=dim, backend=backend, steps=steps)
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

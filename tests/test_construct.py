@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from acuta import (ConstructionConfig, ConstructionError, ConstructionTrace,
                    set_margin, squared_diameter, verify_acute,
                    verify_nonobtuse)
 from acuta._designs import DESIGN_MARGINS, LADDER_MAX_DIM
+from acuta.cli import EXIT_CONSTRUCTION, main
 
 F = Fraction
 
@@ -186,24 +188,16 @@ class TestConfig:
 
 class TestTraceValidation:
     def test_eps_must_not_increase(self):
-        mk = lambda i, e, s: TraceStep(index=i, eps=F(e), s=F(s),
-                                       a=2 * F(s) ** 2, b=2 * F(s))
+        mk = lambda i, e, s: TraceStep(index=i, eps=F(e), s=F(s))
         with pytest.raises(ValueError):
-            ConstructionTrace(dim=3, backend="rational", vertex_order=(0, 1),
+            ConstructionTrace(dim=3, backend="rational",
                               steps=(mk(0, "1/10", "1/20"),
                                      mk(1, "1/5", "1/10")))
 
-    def test_coupling_enforced(self):
-        bad = TraceStep(index=0, eps=F(1, 10), s=F(1, 20),
-                        a=F(1, 7), b=F(1, 10))
-        with pytest.raises(ValueError):
-            ConstructionTrace(dim=3, backend="rational", vertex_order=(0,),
-                              steps=(bad,))
-
     def test_vertex_order_must_be_permutation(self):
-        mk = lambda i: TraceStep(index=i, eps=F(0), s=F(0), a=F(0), b=F(0))
+        mk = lambda i: TraceStep(index=i, eps=F(0), s=F(0))
         with pytest.raises(ValueError):
-            ConstructionTrace(dim=3, backend="rational", vertex_order=(0, 0),
+            ConstructionTrace(dim=3, backend="rational",
                               steps=(mk(0), mk(0)))
 
 
@@ -290,6 +284,20 @@ class TestAdaptive:
         assert report.verdict
         assert report.margin > 0
         assert report.backend == "rational"
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("d", [342, 343, 1026, 4800, 10 ** 6, 10 ** 18])
+    def test_huge_dims_refuse_at_once(self, capsys, d, mode):
+        # Past the float64 and int<->str digit ranges the refusal's figures
+        # become powers of ten; none may crash, read inf or build 2**(d-1).
+        t0 = time.perf_counter()
+        assert main(["generate", str(d), "--mode", mode]) == EXIT_CONSTRUCTION
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: construction at d = {d} ")
+        assert "scale is 2**-" in err and "inf" not in err
+        if mode == "exact":
+            assert re.search(r"would take about 10\^\d+ s$", err.strip())
 
     def test_apex_near_boundary_fails_guard_or_verification(self):
         # The d=3 table design was built for c = 3/2; squeezing the apex down

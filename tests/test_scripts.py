@@ -1,5 +1,7 @@
 """The command-line scripts under scripts/ run to completion."""
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,19 +11,38 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def run(*argv):
+    """Run ``python argv...`` with the package's source on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("script, args, expect", [
     ("margin_survey.py", ["--dmax", "3"], "d=3 rational: n=5"),
     ("run_ladder.py", ["--dim", "5"], "points: 17"),
 ], ids=["margin_survey", "run_ladder"])
 def test_script_exits_0(script, args, expect):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
-                           *args], env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = run(str(ROOT / "scripts" / script), *args)
     assert proc.returncode == 0, proc.stderr
     assert expect in proc.stdout
+
+
+def test_run_ladder_out_file_verifies(tmp_path):
+    out = tmp_path / "f.json"
+    proc = run(str(ROOT / "scripts" / "run_ladder.py"), "--dim", "5",
+               "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    printed = re.search(r"^witness: \((\d+), (\d+), (\d+)\)$", proc.stdout,
+                        re.MULTILINE)
+    proc = run("-m", "acuta.cli", "verify", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert '"verdict":true' in proc.stdout
+    witness = json.loads(proc.stdout)["witness"]
+    assert [witness["apex"], *witness["legs"]] == [
+        int(k) for k in printed.groups()]
 
 
 def test_benchmark_tracer_installs_and_uninstalls():
