@@ -7,17 +7,16 @@ The 2**(d-1) vertices of the (d-1)-cube fall into 2**(d-2) antipodal
 classes; class ell is displaced with the coupled step of scale 2**-k_ell,
 where k_1 = ceil(log2(d (d-1))) and k_{ell+1} = 3 k_ell + 1. This script
 builds the 2**(d-1)+1 point set (apex included), certifies it exactly, and
-prints the scale of each level plus the certified margin. Measured on a
-2-core Intel Xeon under CPython 3.11 (CPU seconds of ``construct_full`` in
-a fresh process, median of 3 runs):
+prints the scale of each level plus the certified margin (the README's
+ladder table gives the measured build and certify times):
 
-    d  points  deepest scale      margin             build+certify
-    5      17  2^-12028           ~2^-16031           0.04 s
-    6      33  2^-78918988        ~2^-105225310       0.04 s
-    7      65  2^-(4.01e15)       ~2^-(5.35e15)       0.09 s
-    8     129  2^-(7.43e30)       ~2^-(9.92e30)       0.22 s
-    9     257  2^-(2.94e61)       ~2^-(3.93e61)       1.3 s
-   10     513  2^-(3.47e122)      ~2^-(4.63e122)      5.9 s
+    d  points  deepest scale      margin
+    5      17  2^-12028           ~2^-16031
+    6      33  2^-78918988        ~2^-105225310
+    7      65  2^-(4.01e15)       ~2^-(5.35e15)
+    8     129  2^-(7.43e30)       ~2^-(9.92e30)
+    9     257  2^-(2.94e61)       ~2^-(3.93e61)
+   10     513  2^-(3.47e122)      ~2^-(4.63e122)
 
 From d = 6 on the coordinates are sparse dyadic sums (a dense Fraction of
 2^-78918988 would need 10**8 bits), so ``--out`` only works for d = 5.

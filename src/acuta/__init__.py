@@ -7,11 +7,9 @@ them in exact (rational or sparse dyadic) or float64 arithmetic, and ships
 the verification machinery separately from the construction so
 certificates never trust the builder.
 """
-from .scalars import (Backend, Dyadic, FLOAT64, RATIONAL, ScalarError,
-                      Tolerance)
+from .scalars import Backend, Dyadic, FLOAT64, RATIONAL, ScalarError
 from .geometry import (GeometryError, Point, PointSet, TripleWitness,
-                       dot_at_apex, set_margin, squared_diameter,
-                       triangle_margin)
+                       dot_at_apex, set_margin, squared_diameter)
 from .construct import (ConstructionConfig, ConstructionError,
                         ConstructionTrace, LemmaReport, TraceStep,
                         apex_point, construct_acute_cube, construct_full,
@@ -26,9 +24,9 @@ from .pointset_io import ParseError, load_point_set, save_point_set
 __version__ = "0.1.0"
 
 __all__ = [
-    "Backend", "Dyadic", "FLOAT64", "RATIONAL", "ScalarError", "Tolerance",
+    "Backend", "Dyadic", "FLOAT64", "RATIONAL", "ScalarError",
     "GeometryError", "Point", "PointSet", "TripleWitness", "dot_at_apex",
-    "set_margin", "squared_diameter", "triangle_margin",
+    "set_margin", "squared_diameter",
     "ConstructionConfig", "ConstructionError", "ConstructionTrace",
     "LemmaReport", "TraceStep", "apex_point", "construct_acute_cube",
     "construct_full", "hypercube_vertices", "lemma_check", "perturb_vertex",

@@ -20,16 +20,18 @@ final scales shrink doubly exponentially in d: the deepest scale is
 d = 10. float64 stops near 2**-1074, so it fails from d = 5 on. A dense
 Fraction would need 10**8 bits at d = 6, but every ladder coordinate is a
 short sum of terms c * 2**e, so the sparse form certifies d = 6 to 10
-exactly (d = 8 in about 0.22 s, d = 9 in 1.3 s and d = 10 in 5.9 s of CPU
-on a 2-core Intel Xeon under CPython 3.11). What stops the ladder there is
-the size of the scan, not the numbers: 2**(d-1)+1 points need
-n * C(n-1, 2) apex dots, 67 108 608 at d = 10 and 536 870 400 at d = 11.
+exactly (the README's ladder table gives the measured times). What stops
+the ladder there is the size of the scan, not the numbers: 2**(d-1)+1
+points need n * C(n-1, 2) apex dots, 67 108 608 at d = 10 and 536 870 400
+at d = 11. A refusal prints its figures in full below 10**15 and as
+powers of ten beyond, each from exact logarithms, for any d.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -85,8 +87,17 @@ class ConstructionConfig:
         if not 4 * c * c > self.dim - 1:
             raise ValueError(
                 f"apex_height {c} violates c^2 > (d-1)/4 (boundary included)")
-        object.__setattr__(self, "apex_height",
-                           c if self.backend == RATIONAL else float(c))
+        if self.backend == FLOAT64:
+            try:
+                c = float(c)
+            except OverflowError:
+                # Only the frozen designs build in float64, and their
+                # default heights are small: a huge d is refused as such.
+                if not _designs.has_design(self.dim):
+                    raise _float_refusal(self.dim) from None
+                raise ValueError("apex_height exceeds the float64 range") \
+                    from None
+        object.__setattr__(self, "apex_height", c)
 
 
 @dataclass(frozen=True)
@@ -302,39 +313,19 @@ def apex_point(d: int, c: Optional[RawScalar] = None,
 # displacement bookkeeping
 
 
-def _sqrt_upper_common(values: List[Fraction]) -> List[Fraction]:
-    """Dyadic upper bounds for the square roots of exact values.
-
-    All bounds share one denominator 2**bits (bits grown until every nonzero
-    bound carries at least 8 significant bits), which makes the map monotone:
-    x <= y implies bound(x) <= bound(y).
-    """
-
-    def at_bits(x: Fraction, bits: int) -> int:
-        scaled = x * (1 << (2 * bits))
-        r = math.isqrt(scaled.numerator // scaled.denominator)
-        if r * r < scaled:
-            r += 1
-        return r
-
-    bits = 16
-    while True:
-        rs = [at_bits(x, bits) for x in values]
-        if all(r >= 256 for r, x in zip(rs, values) if x > 0):
-            return [Fraction(r, 1 << bits) for r in rs]
-        bits *= 2
-
-
 def _nominal_trace(dim: int, backend: Backend,
                    originals: Sequence[Point],
                    moved: Sequence[Point]) -> ConstructionTrace:
     """Trace for free-form designs: steps ordered by decreasing displacement,
-    eps an upper bound on the actual displacement, no scale."""
+    eps an upper bound on the actual displacement, no scale. Exact bounds
+    lie on the grid 2**-16, so that a larger displacement never gets a
+    smaller bound."""
     n = len(originals)
     d2 = [dot_at_apex(originals[i], moved[i], moved[i]) for i in range(n)]
     order = sorted(range(n), key=lambda i: (-d2[i], i))
     if backend == RATIONAL:
-        eps_sorted = _sqrt_upper_common([d2[i] for i in order])
+        eps_sorted = [Fraction(_ceil_sqrt_int(d2[i] * 4 ** 16), 2 ** 16)
+                      for i in order]
     else:
         eps_sorted = [math.nextafter(math.sqrt(d2[i]), math.inf) if d2[i] else 0.0
                       for i in order]
@@ -360,34 +351,9 @@ def construct_acute_cube(cfg: ConstructionConfig) -> Tuple[PointSet, Constructio
         return PointSet(dim=d, points=pts, backend=cfg.backend), trace
 
     if cfg.backend == FLOAT64:
-        # float64 bottoms out near 2**-1074.
-        raise ConstructionError(
-            f"construction at d = {d} needs displacement scales far "
-            f"below the float64 range (its deepest ladder scale is "
-            f"2**-{_deepest_exponent(d)}); use the rational "
-            f"backend for d <= {_designs.LADDER_MAX_DIM}")
+        raise _float_refusal(d)
     if d > _designs.LADDER_MAX_DIM:
-        top = _designs.LADDER_MAX_DIM
-        dots_top = _apex_dots(top)
-        secs = _designs.LADDER_MAX_DIM_SECONDS
-        # The scan has fewer than 2**(3d - 4) dots. While secs times that
-        # fits a float64 the figures are printed in full (d <= 341), beyond
-        # as powers of ten, so that no huge integer is built or printed.
-        if math.log2(secs) + 3 * d - 4 < 1023:
-            dots = _apex_dots(d)
-            points, dots_text = f"{2 ** (d - 1) + 1}", f"{dots:,}"
-            took = f"{secs * dots / dots_top:,.0f}"
-        else:
-            lg2 = math.log10(2)
-            points = f"~10^{(d - 1) * lg2:.0f}"
-            dots_text = f"~10^{(3 * d - 4) * lg2:.0f}"
-            took = f"10^{(3 * d - 4) * lg2 + math.log10(secs / dots_top):.0f}"
-        raise ConstructionError(
-            f"construction at d = {d} is beyond the ladder's limit "
-            f"d = {top}: certifying its {points} points takes "
-            f"{dots_text} exact apex dots and its deepest ladder scale is "
-            f"2**-{_deepest_exponent(d)}; d = {top} checks {dots_top:,} dots "
-            f"in {secs:.1f} s, so d = {d} would take about {took} s")
+        raise _ladder_refusal(d)
     return _ladder(cfg)
 
 
@@ -397,25 +363,86 @@ def _apex_dots(d: int) -> int:
     return n * (n - 1) * (n - 2) // 2
 
 
-def _deepest_exponent(d: int) -> str:
-    """The last ladder exponent k_L = k_1 3^(L-1) + (3^(L-1) - 1)/2, as text.
+def _float_refusal(d: int) -> ConstructionError:
+    # float64 bottoms out near 2**-1074.
+    return ConstructionError(
+        f"construction at d = {d} needs displacement scales far "
+        f"below the float64 range (its deepest ladder scale is "
+        f"2**-{_deepest_exponent(d)}); use the rational "
+        f"backend for d <= {_designs.LADDER_MAX_DIM}")
 
-    Exact up to 2**12 levels (d <= 14), a decimal magnitude beyond, and the
-    magnitude of that magnitude once L = 2**(d-2) leaves the float64 range
-    (d >= 1026).
+
+def _ladder_refusal(d: int) -> ConstructionError:
+    """Why d > LADDER_MAX_DIM is refused: the scan's size and its time
+    scaled from the measured d = LADDER_MAX_DIM run."""
+    top = _designs.LADDER_MAX_DIM
+    dots_top = _apex_dots(top)
+    secs = _designs.LADDER_MAX_DIM_SECONDS
+    with localcontext(_context(d)):
+        # n = 2**(d-1) (1 + 2**(1-d)) points need
+        # n (n-1) (n-2) / 2 = 2**(3d-4) (1 - 4**(1-d)) apex dots.
+        lg2 = Decimal(2).log10()
+        lg_n = (d - 1) * lg2 + (1 + Decimal(2) ** (1 - d)).log10()
+        lg_dots = (3 * d - 4) * lg2 + (1 - Decimal(4) ** (1 - d)).log10()
+        lg_secs = lg_dots + (Decimal(secs) / dots_top).log10()
+    points = _figure(lg_n, lambda: f"{2 ** (d - 1) + 1}", "~")
+    dots = _figure(lg_dots, lambda: f"{_apex_dots(d):,}", "~")
+    took = _figure(lg_secs,
+                   lambda: f"{secs * _apex_dots(d) / dots_top:,.0f}")
+    return ConstructionError(
+        f"construction at d = {d} is beyond the ladder's limit "
+        f"d = {top}: certifying its {points} points takes "
+        f"{dots} exact apex dots and its deepest ladder scale is "
+        f"2**-{_deepest_exponent(d)}; d = {top} checks {dots_top:,} dots "
+        f"in {secs:.1f} s, so d = {d} would take about {took} s")
+
+
+# The figures of a refusal are printed in full below 10**15, where a float
+# still holds every digit of a whole number, and as powers of ten beyond.
+_FULL_BELOW = 15
+
+
+def _context(d: int) -> Context:
+    """Decimal arithmetic for the logarithms of a refusal at dimension d:
+    40 digits beyond those of d, so that a logarithm it rounds to an
+    integer is off by less than 10**-30 before rounding, and exponents
+    wide enough for 2**-d to underflow quietly to 0 and for 3**(2**50)."""
+    return Context(prec=d.bit_length() // 3 + 40, Emax=MAX_EMAX,
+                   Emin=MIN_EMIN)
+
+
+def _figure(lg: Decimal, full, prefix: str = "") -> str:
+    """A positive figure with decimal logarithm ``lg``: ``full()`` below
+    10**15, else ``prefix + "10^N"`` for N the integer nearest to lg."""
+    if lg < _FULL_BELOW:
+        return full()
+    return f"{prefix}10^{int(lg.to_integral_value())}"
+
+
+def _deepest_exponent(d: int) -> str:
+    """The last ladder exponent k_L = k_1 3^(L-1) + (3^(L-1) - 1)/2 of the
+    L = 2**(d-2) levels, as text: in full below 10**15 (d <= 6), else
+    ``(about 10^X)`` with X = log10 k_L rounded, and once X itself reaches
+    10**15 (d >= 53), ``(about 10^(10^Y))`` with Y = log10 X rounded.
     """
-    if d - 2 >= 1024:
-        lg = (d - 2) * math.log10(2) + math.log10(math.log10(3))
-        return f"(about 10^(10^{lg:.0f}))"
-    levels = 2 ** (d - 2)
     k1 = _designs.ladder_k1(d)
-    if levels > 1 << 12:
-        return f"(about 10^{(levels - 1) * math.log10(3) + math.log10(k1):.0f})"
+    with localcontext(_context(d)):
+        lg3 = Decimal(3).log10()
+        lg_k1 = (k1 + Decimal("0.5")).log10()
+        # log10 k_L = (L - 1) lg3 + lg_k1 + log10(1 - r), 0 < r < 3**(1-L),
+        # so its own log10 is (d - 2) log10 2 + log10(lg3)
+        # + log10(1 + (lg_k1 - lg3) / (L lg3)), up to far less than r.
+        lg_x = ((d - 2) * Decimal(2).log10() + lg3.log10()
+                + (1 + (lg_k1 - lg3) / lg3 * Decimal(2) ** (2 - d)).log10())
+        if lg_x >= _FULL_BELOW:
+            return f"(about 10^(10^{int(lg_x.to_integral_value())}))"
+        levels = 2 ** (d - 2)
+        lg_k = ((levels - 1) * lg3 + lg_k1 + (
+            1 - 1 / ((2 * k1 + 1) * Decimal(3) ** (levels - 1))).log10())
+    if lg_k >= _FULL_BELOW:
+        return f"(about 10^{int(lg_k.to_integral_value())})"
     p = 3 ** (levels - 1)
-    digits = str(k1 * p + (p - 1) // 2)
-    if len(digits) <= 12:
-        return digits
-    return f"{digits[0]}.{digits[1:3]}e{len(digits) - 1}"
+    return str(k1 * p + (p - 1) // 2)
 
 
 def _ladder(cfg: ConstructionConfig) -> Tuple[PointSet, ConstructionTrace]:

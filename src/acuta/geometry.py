@@ -109,6 +109,8 @@ class PointSet:
     backend: Backend
 
     def __post_init__(self) -> None:
+        if self.backend not in (RATIONAL, FLOAT64):
+            raise GeometryError(f"unknown backend: {self.backend!r}")
         if self.dim < 1:
             raise GeometryError(f"dim must be >= 1, got {self.dim}")
         rows = [tuple(p) for p in self.points]
@@ -135,17 +137,6 @@ class PointSet:
 def dot_at_apex(q: Point, p: Point, r: Point) -> RawScalar:
     """Inner product <p - q, r - q> of the two legs meeting at apex q."""
     return sum((pk - qk) * (rk - qk) for qk, pk, rk in zip(q, p, r))
-
-
-def triangle_margin(a: Point, b: Point, c: Point) -> RawScalar:
-    """Smallest apex inner product over the three corners of a triangle.
-
-    Coincident corners make every angle meaningless and raise; collinear
-    corners are fine and simply yield a margin <= 0.
-    """
-    if a == b or a == c or b == c:
-        raise GeometryError("coincident points have no triangle margin")
-    return min(dot_at_apex(a, b, c), dot_at_apex(b, a, c), dot_at_apex(c, a, b))
 
 
 class _Kernel:
@@ -784,8 +775,11 @@ class FloatGram(_Kernel):
 
     def max_sqdist(self) -> float:
         arr = self.arr
-        return max((float(((arr[i + 1:] - arr[i]) ** 2).sum(axis=1).max())
-                    for i in range(self.n - 1)), default=0.0)
+        # A squared distance past the float range is inf, which the
+        # checks of acuta.verify refuse.
+        with np.errstate(over="ignore"):
+            return max((float(((arr[i + 1:] - arr[i]) ** 2).sum(axis=1).max())
+                        for i in range(self.n - 1)), default=0.0)
 
     def min_dots(self, apexes: Sequence[int]):
         """As :meth:`ExactGram.min_dots`, one apex at a time in numpy."""
@@ -825,10 +819,9 @@ def kernel(ps: PointSet) -> _Kernel:
     and the re-checks that follow it build one Gram matrix. A call on any
     other set (an equal copy too) first drops the kept kernel, then builds.
     At most one kernel outlives its call, and it goes when its set dies or
-    another set is scanned. The kept d = 8 ladder kernel holds 2.0 MB and
-    the d = 10 one 34 MB after its certificate (tracemalloc, CPython 3.11
-    on a 2-core Intel Xeon). Its arrays are read-only, so no
-    scan can change what the next one sees.
+    another set is scanned (the README gives the measured size of the kept
+    d = 8 and d = 10 kernels). Its arrays are read-only, so no scan can
+    change what the next one sees.
     """
     global _last
     ref, k = _last      # one read: a racing call costs a build, never a mix

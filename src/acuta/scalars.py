@@ -1,4 +1,4 @@
-"""Exact scalars and the float tolerance for geometric predicates.
+"""Exact scalars for geometric predicates.
 
 Two backends are supported: exact rationals (``"rational"``) and IEEE-754
 doubles (``"float64"``). Exact values are :class:`fractions.Fraction`, or
@@ -6,14 +6,14 @@ doubles (``"float64"``). Exact values are :class:`fractions.Fraction`, or
 ladder for d >= 6 needs exponents around 2**-(10**8) and beyond); a point
 set that holds such a value keeps all of its Dyadic values sparse. All
 predicates downstream work with squared distances and inner products, so no
-square roots appear anywhere and exact values are never rounded.
+square roots appear anywhere and exact values are never rounded. float64
+values are plain floats; the strict margin that float checks demand is
+set in :mod:`acuta.verify`.
 """
 from __future__ import annotations
 
-import math
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Union
 
@@ -314,48 +314,3 @@ def as_exact(x) -> Union[Fraction, Dyadic]:
 
 
 RawScalar = Union[Fraction, Dyadic, float]
-
-
-def _check_backend(backend: str) -> Backend:
-    if backend not in (RATIONAL, FLOAT64):
-        raise ScalarError(f"unknown backend: {backend!r}")
-    return backend  # type: ignore[return-value]
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Strictness threshold for acuteness margins.
-
-    The rational backend certifies exactly, so its threshold is pinned to
-    zero. The float backend needs a strictly positive threshold to absorb
-    rounding; use :meth:`scaled` to derive one from the squared diameter so
-    the criterion is invariant under rescaling the configuration.
-    """
-
-    backend: Backend
-    strict_margin: RawScalar
-
-    BASE_REL: float = 1e-9
-
-    def __post_init__(self) -> None:
-        _check_backend(self.backend)
-        if self.backend == RATIONAL:
-            if self.strict_margin != 0:
-                raise ScalarError(
-                    "rational tolerance must have strict_margin == 0")
-            object.__setattr__(self, "strict_margin", Fraction(0))
-        else:
-            v = float(self.strict_margin)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ScalarError(
-                    "float64 tolerance requires a finite strict_margin > 0")
-            object.__setattr__(self, "strict_margin", v)
-
-    @classmethod
-    def exact(cls) -> "Tolerance":
-        return cls(RATIONAL, Fraction(0))
-
-    @classmethod
-    def scaled(cls, squared_diameter: float) -> "Tolerance":
-        """Scale-aware float threshold: ``1e-9 * (1 + squared_diameter)``."""
-        return cls(FLOAT64, cls.BASE_REL * (1.0 + float(squared_diameter)))

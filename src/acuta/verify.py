@@ -15,6 +15,14 @@ The independent check of the kernels is the naive triple loop
 ``naive_margin`` in the test suite, which acceptance criterion 8 compares
 against bit for bit. ``threads`` is accepted and ignored.
 
+Exact sets are certified exactly, with strict margin s = 0. float64 mode
+is only a screen, with one rule: its strict margin is
+s = ``1e-9 * (1 + squared diameter)``, computed in float64, so that it
+grows with the set's scale. An angle is acute when its apex inner product
+is > s and non-obtuse when it is >= -s; a slab holds when its depth is
+> s. A float64 set whose squared diameter overflows is refused with
+``ValueError``.
+
 Checks come in three strengths:
 
 * ``verify_acute``: every angle strictly acute (the full certificate);
@@ -33,7 +41,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .geometry import PointSet, TripleWitness, kernel
-from .scalars import RATIONAL, Backend, RawScalar, Tolerance
+from .scalars import RATIONAL, Backend, RawScalar
 
 __all__ = [
     "VerificationReport",
@@ -62,33 +70,29 @@ class VerificationReport:
     elapsed: float
 
 
-def _setup(ps: PointSet, tolerance: Optional[Tolerance]):
-    """Scan kernel, squared diameter and strict margin in raw units.
-
-    Exact tolerances are pinned to zero and raw exact values carry the true
-    sign, so exact predicates compare raw values against the int 0; raw
-    float values are the values themselves.
-    """
+def _setup(ps: PointSet):
+    """Scan kernel, squared diameter and the strict margin s of the module
+    docstring, in raw units: raw exact values carry the true sign, and raw
+    float values are the values themselves."""
     if len(ps) < 3:
         raise ValueError("verification needs at least 3 points")
     gram = kernel(ps)
     sqd = gram.sqdiam()
-    exact = ps.backend == RATIONAL
-    tol = tolerance if tolerance is not None else (
-        Tolerance.exact() if exact else Tolerance.scaled(float(sqd)))
-    if tol.backend != ps.backend:
+    if ps.backend == RATIONAL:
+        return gram, sqd, 0
+    if not math.isfinite(sqd):
         raise ValueError(
-            f"tolerance backend {tol.backend} does not match point set "
-            f"backend {ps.backend}")
-    return gram, sqd, (0 if exact else tol.strict_margin)
+            f"the float64 squared diameter is {sqd}: the strict margin "
+            "1e-9 * (1 + squared diameter) needs a finite one")
+    return gram, sqd, 1e-9 * (1.0 + float(sqd))
 
 
-def _angle_check(ps: PointSet, check: str, tolerance: Optional[Tolerance],
-                 mode: str, fail_rule) -> VerificationReport:
+def _angle_check(ps: PointSet, check: str, mode: str,
+                 fail_rule) -> VerificationReport:
     if mode not in ("margin", "verdict"):
         raise ValueError(f"unknown mode: {mode!r}")
     start = time.perf_counter()
-    gram, sqd, strict = _setup(ps, tolerance)
+    gram, sqd, strict = _setup(ps)
     fails = fail_rule(strict)
 
     n = len(ps)
@@ -113,8 +117,7 @@ def _angle_check(ps: PointSet, check: str, tolerance: Optional[Tolerance],
         elapsed=time.perf_counter() - start)
 
 
-def verify_acute(ps: PointSet, tolerance: Optional[Tolerance] = None,
-                 mode: str = "margin",
+def verify_acute(ps: PointSet, mode: str = "margin",
                  threads: Optional[int] = None) -> VerificationReport:
     """Certify that every angle is strictly acute.
 
@@ -124,24 +127,22 @@ def verify_acute(ps: PointSet, tolerance: Optional[Tolerance] = None,
     sweep over triples i < j < k (angles at i, j, then k) and the triples
     swept to reach it.
     """
-    return _angle_check(ps, "acute", tolerance, mode,
+    return _angle_check(ps, "acute", mode,
                         lambda strict: (lambda dot: not dot > strict))
 
 
-def verify_nonobtuse(ps: PointSet, tolerance: Optional[Tolerance] = None,
-                     mode: str = "margin",
+def verify_nonobtuse(ps: PointSet, mode: str = "margin",
                      threads: Optional[int] = None) -> VerificationReport:
     """Certify that no angle is obtuse (right angles are allowed).
 
     Exact backend: every inner product must be >= 0. Float backend: must
     not drop below minus the strict margin.
     """
-    return _angle_check(ps, "nonobtuse", tolerance, mode,
+    return _angle_check(ps, "nonobtuse", mode,
                         lambda strict: (lambda dot: dot < -strict))
 
 
-def verify_antipodal_witness(ps: PointSet,
-                             tolerance: Optional[Tolerance] = None) -> VerificationReport:
+def verify_antipodal_witness(ps: PointSet) -> VerificationReport:
     """Certify the pairwise slab condition, with per-pair witnesses.
 
     For every pair (x, y) and every third point z the projection value
@@ -153,7 +154,7 @@ def verify_antipodal_witness(ps: PointSet,
     exact arithmetic the two are equivalent.
     """
     start = time.perf_counter()
-    gram, sqd, strict = _setup(ps, tolerance)
+    gram, sqd, strict = _setup(ps)
 
     n = len(ps)
     raw, (x, y, z) = gram.min_slab()

@@ -13,7 +13,8 @@ from acuta import (ConstructionConfig, ConstructionError, ConstructionTrace,
                    lemma_check, perturb_vertex, random_baseline, safe_radius,
                    set_margin, squared_diameter, verify_acute,
                    verify_nonobtuse)
-from acuta._designs import DESIGN_MARGINS, LADDER_MAX_DIM
+from acuta._designs import (DESIGN_MARGINS, LADDER_MAX_DIM,
+                            LADDER_MAX_DIM_SECONDS, ladder_k1)
 from acuta.cli import EXIT_CONSTRUCTION, main
 
 F = Fraction
@@ -180,6 +181,8 @@ class TestConfig:
         pytest.param(dict(dim=3, backend="decimal"), id="kwargs1"),
         pytest.param(dict(dim=5, apex_height="1"),   # boundary exactly
                      id="kwargs7"),
+        pytest.param(dict(dim=3, backend="float64", apex_height="1e400"),
+                     id="float-height-overflow"),
     ])
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -286,7 +289,8 @@ class TestAdaptive:
         assert report.backend == "rational"
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
-    @pytest.mark.parametrize("d", [342, 343, 1026, 4800, 10 ** 6, 10 ** 18])
+    @pytest.mark.parametrize("d", [342, 343, 1026, 4800, 10 ** 6, 10 ** 18,
+                                   10 ** 309])
     def test_huge_dims_refuse_at_once(self, capsys, d, mode):
         # Past the float64 and int<->str digit ranges the refusal's figures
         # become powers of ten; none may crash, read inf or build 2**(d-1).
@@ -298,6 +302,56 @@ class TestAdaptive:
         assert "scale is 2**-" in err and "inf" not in err
         if mode == "exact":
             assert re.search(r"would take about 10\^\d+ s$", err.strip())
+
+    @pytest.mark.parametrize("d", [26, 27, 60])
+    def test_refusal_figures_match_exact_arithmetic(self, d):
+        # Figures from 10**15 on read 10^N, N the integer nearest their
+        # log10; below, they are printed in full.
+        with pytest.raises(ConstructionError) as exc:
+            construct_acute_cube(ConstructionConfig(dim=d))
+        m = re.fullmatch(
+            rf"construction at d = {d} is beyond the ladder's limit "
+            rf"d = {LADDER_MAX_DIM}: certifying its (\S+) points takes (\S+) "
+            r"exact apex dots and its deepest ladder scale is 2\*\*-\(about "
+            r"10\^(\d+|\(10\^\d+\))\); d = \d+ checks [\d,]+ dots in "
+            rf"[\d.]+ s, so d = {d} would take about 10\^(\d+) s",
+            str(exc.value))
+        assert m, str(exc.value)
+        points, dots, deepest, secs = m.groups()
+
+        def near(v, n):          # 10**(n - 1/2) <= v < 10**(n + 1/2)
+            return F(10) ** (2 * n - 1) <= v * v < F(10) ** (2 * n + 1)
+
+        n = 2 ** (d - 1) + 1
+        n_dots = n * (n - 1) * (n - 2) // 2
+        top = 2 ** (LADDER_MAX_DIM - 1) + 1
+        took = F(LADDER_MAX_DIM_SECONDS) * n_dots / (top * (top - 1)
+                                                    * (top - 2) // 2)
+        assert points == str(n) if n < 10 ** 15 else near(n, int(points[4:]))
+        assert dots.startswith("~10^") and near(n_dots, int(dots[4:]))
+        assert took >= 10 ** 15 and near(took, int(secs))
+
+        # k_L = k_1 3^(L-1) + (3^(L-1) - 1)/2 with L = 2**(d-2): bound
+        # X = log10 k_L between rationals, from ln r = 2 atanh((r-1)/(r+1)).
+        def ln(r, terms=200):
+            y = (r - 1) / (r + 1)
+            s = sum(y ** (2 * k + 1) / (2 * k + 1) for k in range(terms))
+            return 2 * s, 2 * (s + y ** (2 * terms + 1)
+                               / ((2 * terms + 1) * (1 - y * y)))
+
+        (l3, h3), (l10, h10) = ln(F(3)), ln(F(10))
+        lk, hk = ln(ladder_k1(d) + F(1, 2))
+        levels = 2 ** (d - 2)
+        # k_L = (k_1 + 1/2) 3^(L-1) (1 - r) with 0 < r < 3**(1-L) < 10**-100
+        x_lo = ((levels - 1) * l3 + lk) / h10 - F(1, 10 ** 100)
+        x_hi = ((levels - 1) * h3 + hk) / l10
+        if deepest.startswith("("):
+            y = int(deepest[4:-1])
+            assert x_lo >= 10 ** 15
+            assert near(x_lo, y) and near(x_hi, y)
+        else:
+            assert x_hi < 10 ** 15
+            assert int(deepest) - F(1, 2) < x_lo <= x_hi < int(deepest) + F(1, 2)
 
     def test_apex_near_boundary_fails_guard_or_verification(self):
         # The d=3 table design was built for c = 3/2; squeezing the apex down

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acuta import (Dyadic, GeometryError, PointSet, TripleWitness,
-                   dot_at_apex, set_margin, squared_diameter, triangle_margin)
+                   dot_at_apex, set_margin, squared_diameter)
 from acuta import geometry
 from acuta.construct import (ConstructionConfig, construct_full,
                              hypercube_vertices, perturb_vertex, safe_radius)
@@ -58,18 +58,6 @@ class TestBasics:
         assert dot_at_apex(q, p, r) == 0
         assert dot_at_apex(p, q, r) == 1
 
-    def test_tall_triangle_margin(self):
-        m = triangle_margin((F(0), F(0)), (F(2), F(0)), (F(1), F(10)))
-        assert m == 2
-
-    def test_coincident_points_raise(self):
-        with pytest.raises(GeometryError):
-            triangle_margin((F(0), F(0)), (F(0), F(0)), (F(1), F(1)))
-
-    def test_collinear_is_allowed_with_nonpositive_margin(self):
-        m = triangle_margin((F(0), F(0)), (F(1), F(0)), (F(2), F(0)))
-        assert m <= 0
-
     def test_squared_diameter(self):
         ps = rat_ps((0, 0), (3, 4))
         assert squared_diameter(ps) == 25
@@ -81,6 +69,13 @@ class TestBasics:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(GeometryError):
             PointSet(dim=3, points=((F(0), F(0)),), backend="rational")
+
+    def test_unknown_backend_rejected(self):
+        # An unknown backend is neither exact nor float64: it must not pass
+        # as a float set and fail later inside a kernel.
+        with pytest.raises(GeometryError, match="unknown backend"):
+            PointSet(dim=2, points=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
+                     backend="float32")
 
     def test_nonfinite_float_rejected(self):
         with pytest.raises(GeometryError):
@@ -167,14 +162,6 @@ class TestSetMargin:
 
 
 class TestProperties:
-    @given(st.integers(0, 10 ** 6), st.permutations([0, 1, 2]))
-    @settings(max_examples=40)
-    def test_triangle_margin_symmetric_under_permutation(self, seed, perm):
-        import random
-        pts = random_rational_points(random.Random(seed), 3, 3)
-        permuted = tuple(pts[i] for i in perm)
-        assert triangle_margin(*permuted) == triangle_margin(*pts)
-
     @given(st.integers(0, 10 ** 6),
            st.fractions(min_value=F(1, 8), max_value=8, max_denominator=64),
            st.tuples(st.integers(-5, 5), st.integers(-5, 5)))

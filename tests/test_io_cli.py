@@ -1,5 +1,4 @@
 import json
-import re
 import sys
 import time
 from fractions import Fraction
@@ -364,6 +363,18 @@ class TestCli:
         assert report["check"] == "acute"
         assert report["verdict"] is True
 
+    @pytest.mark.parametrize("check", ["acute", "nonobtuse", "antipodal"])
+    def test_verify_overflowing_float_diameter_exits_2(self, tmp_path,
+                                                       capsys, check):
+        path = write_json(tmp_path / "big.json", {
+            "backend": "float64", "dim": 2,
+            "points": [[0.0, 0.0], [1e200, 0.0], [0.0, 1e200]]})
+        assert main(["verify", path, "--check", check]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the float64 squared diameter "
+                                       "is inf")
+
     def test_verify_corrupt_input(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{broken")
@@ -415,11 +426,13 @@ class TestCli:
         assert "margin=" in out
 
     def test_generate_d6_prints_dyadic_margin_scale(self, capsys):
-        assert main(["generate", "6"]) == 0
-        out = capsys.readouterr().out
-        assert "points=33" in out
-        m = re.search(r"margin=exact>0 \(~2\^(-\d+)\)", out)
-        assert m and int(m.group(1)) < -1074   # below the float64 range
+        # Both margins lie below the float range: d = 5's is a Fraction and
+        # d = 6's a Dyadic, and each prints its binary scale. (d = 5 joined
+        # this test as a case, so that its id is kept.)
+        for d, points, scale in ((5, 17, -16031), (6, 33, -105225310)):
+            assert main(["generate", str(d)]) == 0
+            out = capsys.readouterr().out
+            assert f"points={points} margin=exact>0 (~2^{scale}) " in out
 
     def test_generate_d6_json_refused_at_once(self, tmp_path, capsys):
         # "p/q" would need ~10**8-bit integers; the writer must refuse

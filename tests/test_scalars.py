@@ -4,27 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acuta import Dyadic, ScalarError, Tolerance
+from acuta import Dyadic, ScalarError
 from acuta.scalars import as_exact, head_split
-
-
-class TestTolerance:
-    def test_exact_is_zero(self):
-        assert Tolerance.exact().strict_margin == 0
-
-    def test_rational_nonzero_rejected(self):
-        with pytest.raises(ScalarError):
-            Tolerance("rational", Fraction(1, 10))
-
-    def test_float_zero_rejected(self):
-        with pytest.raises(ScalarError):
-            Tolerance("float64", 0.0)
-
-    def test_scaled_grows_with_diameter(self):
-        small = Tolerance.scaled(1.0)
-        big = Tolerance.scaled(100.0)
-        assert small.strict_margin == pytest.approx(2e-9)
-        assert big.strict_margin > small.strict_margin
 
 
 dyadic_terms = st.lists(

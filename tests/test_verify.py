@@ -2,10 +2,9 @@ import os
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from acuta import (ConstructionConfig, PointSet, Tolerance, apex_point,
+from acuta import (ConstructionConfig, PointSet, apex_point,
                    construct_acute_cube, construct_full,
                    ef_bound, fibonacci, hard_cap, hypercube_vertices,
                    legacy_bounds, set_margin, target_size,
@@ -129,15 +128,29 @@ class TestCardinality:
 
 
 class TestToleranceHandling:
-    def test_backend_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            verify_acute(UNIT_SQUARE, tolerance=Tolerance.scaled(2.0))
+    @pytest.mark.parametrize("t, acute, nonobtuse", [
+        (4e-9, True, True), (2e-9, False, True), (-2e-9, False, True),
+        (-4e-9, False, False)])
+    def test_float_rule_is_the_documented_margin(self, t, acute, nonobtuse):
+        # The smallest apex dot and slab depth is t, at corner 0, and the
+        # squared diameter is (1 - t)**2 + 1, so the strict margin
+        # 1e-9 * (1 + squared diameter) is about 3e-9.
+        ps = PointSet(dim=2, backend="float64",
+                      points=((0.0, 0.0), (1.0, 0.0), (t, 1.0)))
+        assert verify_acute(ps).verdict == acute
+        assert verify_acute(ps, mode="verdict").verdict == acute
+        assert verify_nonobtuse(ps).verdict == nonobtuse
+        assert verify_antipodal_witness(ps).verdict == acute
 
-    def test_exact_tolerance_on_float_rejected(self):
-        sq = PointSet(dim=2, points=((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)),
-                      backend="float64")
-        with pytest.raises(ValueError):
-            verify_acute(sq, tolerance=Tolerance.exact())
+    @pytest.mark.parametrize("check", [verify_acute, verify_nonobtuse,
+                                       verify_antipodal_witness])
+    def test_overflowing_float_diameter_rejected(self, check):
+        # Every coordinate is finite, but the squared diameter is not, and
+        # neither would be the strict margin 1e-9 * (1 + squared diameter).
+        ps = PointSet(dim=2, backend="float64",
+                      points=((0.0, 0.0), (1e200, 0.0), (0.0, 1e200)))
+        with pytest.raises(ValueError, match="squared diameter is inf"):
+            check(ps)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -200,7 +213,7 @@ class TestVerdictMode:
     @staticmethod
     def rules(rep):
         strict = (0 if rep.backend == "rational"
-                  else Tolerance.scaled(rep.squared_diameter).strict_margin)
+                  else 1e-9 * (1.0 + rep.squared_diameter))
         return {verify_acute: lambda dot: not dot > strict,
                 verify_nonobtuse: lambda dot: dot < -strict}
 
@@ -236,21 +249,22 @@ class TestVerdictMode:
     def test_a_rounding_split_fails_with_the_minimums_witness(
             self, monkeypatch):
         # The float minimum is scanned with numpy and the sweep's dots in
-        # Python, whose roundings can differ in the last bit. Simulate a
-        # minimum one step below every dot the sweep computes, at the
-        # strict margin: the sweep finds no failing angle, and the report
-        # must still fail, with the minimum's witness and every triple.
+        # Python, whose roundings can differ. Simulate a minimum at the
+        # strict margin, below every dot the sweep computes: the sweep
+        # finds no failing angle, and the report must still fail, with the
+        # minimum's witness and every triple.
         ps = PointSet(dim=3, backend="float64", points=(
             (0.0, 0.0, 0.0), (2.0, 0.1, 0.0), (0.9, 1.8, 0.0),
             (1.0, 0.6, 1.7)))
-        raw, args = FloatGram.min_dots(kernel(ps), range(4))
-        low = float(np.nextafter(raw, 0.0))
+        gram = kernel(ps)
+        raw, args = FloatGram.min_dots(gram, range(4))
+        low = 1e-9 * (1.0 + gram.sqdiam())
+        assert low < raw
         monkeypatch.setattr(FloatGram, "min_dots",
                             lambda self, apexes: (low, args))
         ps = PointSet(dim=3, backend="float64", points=ps.points)
-        tol = Tolerance("float64", low)
-        rep = verify_acute(ps, tol, mode="verdict")
-        assert not rep.verdict and not verify_acute(ps, tol).verdict
+        rep = verify_acute(ps, mode="verdict")
+        assert not rep.verdict and not verify_acute(ps).verdict
         assert rep.witness.indices() == args[0]
         assert rep.margin == rep.witness.dot_value == low
         assert rep.triples_checked == 4
