@@ -88,6 +88,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.check == "antipodal" and args.mode == "verdict":
+        raise ValueError("--mode verdict applies to --check acute and "
+                         "nonobtuse only")
     ps, _trace = load_point_set(args.path)
     if args.check == "acute":
         report = verify_acute(ps, mode=args.mode)

@@ -23,15 +23,15 @@ short sum of terms c * 2**e, so the sparse form certifies d = 6 to 10
 exactly (the README's ladder table gives the measured times). What stops
 the ladder there is the size of the scan, not the numbers: 2**(d-1)+1
 points need n * C(n-1, 2) apex dots, 67 108 608 at d = 10 and 536 870 400
-at d = 11. A refusal prints its figures in full below 10**15 and as
-powers of ten beyond, each from exact logarithms, for any d.
+at d = 11. A refusal prints each figure in full while it is below
+10**15 and beyond as an exact expression in d, such as ``2**(d-1) + 1``
+points, so no figure of any d is rounded or overflows.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -81,20 +81,22 @@ class ConstructionConfig:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
         if self.backend not in (RATIONAL, FLOAT64):
             raise ValueError(f"unknown backend: {self.backend!r}")
+        try:
+            str(self.dim)     # a refusal names d
+        except ValueError:
+            raise ValueError(f"dim of {self.dim.bit_length():,} bits has "
+                             "too many digits to print") from None
 
         c = Fraction(self.dim, 2) if self.apex_height is None \
             else Fraction(self.apex_height)
         if not 4 * c * c > self.dim - 1:
             raise ValueError(
                 f"apex_height {c} violates c^2 > (d-1)/4 (boundary included)")
-        if self.backend == FLOAT64:
+        # Only the frozen designs build in float64 (see construct_acute_cube).
+        if self.backend == FLOAT64 and _designs.has_design(self.dim):
             try:
                 c = float(c)
             except OverflowError:
-                # Only the frozen designs build in float64, and their
-                # default heights are small: a huge d is refused as such.
-                if not _designs.has_design(self.dim):
-                    raise _float_refusal(self.dim) from None
                 raise ValueError("apex_height exceeds the float64 range") \
                     from None
         object.__setattr__(self, "apex_height", c)
@@ -351,7 +353,12 @@ def construct_acute_cube(cfg: ConstructionConfig) -> Tuple[PointSet, Constructio
         return PointSet(dim=d, points=pts, backend=cfg.backend), trace
 
     if cfg.backend == FLOAT64:
-        raise _float_refusal(d)
+        # float64 bottoms out near 2**-1074.
+        raise ConstructionError(
+            f"construction at d = {d} needs displacement scales far "
+            f"below the float64 range (its deepest ladder scale is "
+            f"2**-{_deepest_exponent(d)}); use the rational "
+            f"backend for d <= {_designs.LADDER_MAX_DIM}")
     if d > _designs.LADDER_MAX_DIM:
         raise _ladder_refusal(d)
     return _ladder(cfg)
@@ -363,86 +370,38 @@ def _apex_dots(d: int) -> int:
     return n * (n - 1) * (n - 2) // 2
 
 
-def _float_refusal(d: int) -> ConstructionError:
-    # float64 bottoms out near 2**-1074.
-    return ConstructionError(
-        f"construction at d = {d} needs displacement scales far "
-        f"below the float64 range (its deepest ladder scale is "
-        f"2**-{_deepest_exponent(d)}); use the rational "
-        f"backend for d <= {_designs.LADDER_MAX_DIM}")
-
-
 def _ladder_refusal(d: int) -> ConstructionError:
     """Why d > LADDER_MAX_DIM is refused: the scan's size and its time
-    scaled from the measured d = LADDER_MAX_DIM run."""
+    scaled from the measured d = LADDER_MAX_DIM run, in full up to d = 17
+    (each figure below 10**15) and as exact expressions in d beyond."""
     top = _designs.LADDER_MAX_DIM
     dots_top = _apex_dots(top)
     secs = _designs.LADDER_MAX_DIM_SECONDS
-    with localcontext(_context(d)):
-        # n = 2**(d-1) (1 + 2**(1-d)) points need
-        # n (n-1) (n-2) / 2 = 2**(3d-4) (1 - 4**(1-d)) apex dots.
-        lg2 = Decimal(2).log10()
-        lg_n = (d - 1) * lg2 + (1 + Decimal(2) ** (1 - d)).log10()
-        lg_dots = (3 * d - 4) * lg2 + (1 - Decimal(4) ** (1 - d)).log10()
-        lg_secs = lg_dots + (Decimal(secs) / dots_top).log10()
-    points = _figure(lg_n, lambda: f"{2 ** (d - 1) + 1}", "~")
-    dots = _figure(lg_dots, lambda: f"{_apex_dots(d):,}", "~")
-    took = _figure(lg_secs,
-                   lambda: f"{secs * _apex_dots(d) / dots_top:,.0f}")
+    if d <= 17:
+        points = f"{2 ** (d - 1) + 1}"
+        dots = f"{_apex_dots(d):,}"
+        took = f"{secs * _apex_dots(d) / dots_top:,.0f} s"
+    else:
+        # The scans' ratio 8**(d - top) (1 - 4**(1-d)) / (1 - 4**(1-top))
+        # lies between 8**(d - top) and 8**(d - top) (1 + 4**(2 - top)).
+        points = f"2**{d - 1} + 1"
+        dots = f"2**{d - 2} * (4**{d - 1} - 1)"
+        took = f"{secs:.1f} s * 8**{d - top}"
     return ConstructionError(
         f"construction at d = {d} is beyond the ladder's limit "
         f"d = {top}: certifying its {points} points takes "
         f"{dots} exact apex dots and its deepest ladder scale is "
         f"2**-{_deepest_exponent(d)}; d = {top} checks {dots_top:,} dots "
-        f"in {secs:.1f} s, so d = {d} would take about {took} s")
-
-
-# The figures of a refusal are printed in full below 10**15, where a float
-# still holds every digit of a whole number, and as powers of ten beyond.
-_FULL_BELOW = 15
-
-
-def _context(d: int) -> Context:
-    """Decimal arithmetic for the logarithms of a refusal at dimension d:
-    40 digits beyond those of d, so that a logarithm it rounds to an
-    integer is off by less than 10**-30 before rounding, and exponents
-    wide enough for 2**-d to underflow quietly to 0 and for 3**(2**50)."""
-    return Context(prec=d.bit_length() // 3 + 40, Emax=MAX_EMAX,
-                   Emin=MIN_EMIN)
-
-
-def _figure(lg: Decimal, full, prefix: str = "") -> str:
-    """A positive figure with decimal logarithm ``lg``: ``full()`` below
-    10**15, else ``prefix + "10^N"`` for N the integer nearest to lg."""
-    if lg < _FULL_BELOW:
-        return full()
-    return f"{prefix}10^{int(lg.to_integral_value())}"
+        f"in {secs:.1f} s, so d = {d} would take about {took}")
 
 
 def _deepest_exponent(d: int) -> str:
-    """The last ladder exponent k_L = k_1 3^(L-1) + (3^(L-1) - 1)/2 of the
-    L = 2**(d-2) levels, as text: in full below 10**15 (d <= 6), else
-    ``(about 10^X)`` with X = log10 k_L rounded, and once X itself reaches
-    10**15 (d >= 53), ``(about 10^(10^Y))`` with Y = log10 X rounded.
-    """
-    k1 = _designs.ladder_k1(d)
-    with localcontext(_context(d)):
-        lg3 = Decimal(3).log10()
-        lg_k1 = (k1 + Decimal("0.5")).log10()
-        # log10 k_L = (L - 1) lg3 + lg_k1 + log10(1 - r), 0 < r < 3**(1-L),
-        # so its own log10 is (d - 2) log10 2 + log10(lg3)
-        # + log10(1 + (lg_k1 - lg3) / (L lg3)), up to far less than r.
-        lg_x = ((d - 2) * Decimal(2).log10() + lg3.log10()
-                + (1 + (lg_k1 - lg3) / lg3 * Decimal(2) ** (2 - d)).log10())
-        if lg_x >= _FULL_BELOW:
-            return f"(about 10^(10^{int(lg_x.to_integral_value())}))"
-        levels = 2 ** (d - 2)
-        lg_k = ((levels - 1) * lg3 + lg_k1 + (
-            1 - 1 / ((2 * k1 + 1) * Decimal(3) ** (levels - 1))).log10())
-    if lg_k >= _FULL_BELOW:
-        return f"(about 10^{int(lg_k.to_integral_value())})"
-    p = 3 ** (levels - 1)
-    return str(k1 * p + (p - 1) // 2)
+    """The last ladder exponent k_L of the L = 2**(d-2) levels as text: in
+    full for d <= 6, where it is below 10**15, and beyond as the closed
+    form of k_{l+1} = 3 k_l + 1, k_L = (k_1 + 1/2) 3**(L-1) - 1/2."""
+    if d <= 6:
+        return str(_designs.ladder_ks(d)[-1])
+    return f"({_designs.ladder_k1(d)}.5 * 3**(2**{d - 2} - 1) - 0.5)"
 
 
 def _ladder(cfg: ConstructionConfig) -> Tuple[PointSet, ConstructionTrace]:

@@ -141,14 +141,16 @@ def _trace_from_obj(obj, dim: int, backend: str) -> ConstructionTrace:
             raise ParseError(
                 f"trace has {n} steps; a dim-{dim} set has 2**{dim - 1} "
                 "cube vertices")
-        steps = tuple(
-            TraceStep(index=int(st["index"]),
-                      eps=_parse_coord(st["eps"], backend),
-                      s=None if st["s"] is None
-                      else _parse_coord(st["s"], backend))
-            for st in obj["steps"]
-        )
-        return ConstructionTrace(dim=dim, backend=backend, steps=steps)
+        steps = []
+        for st in obj["steps"]:
+            i = st["index"]
+            if isinstance(i, bool) or not isinstance(i, int):
+                raise ParseError(f"trace step index must be an integer, "
+                                 f"got {i!r}")
+            steps.append(TraceStep(
+                index=i, eps=_parse_coord(st["eps"], backend),
+                s=None if st["s"] is None else _parse_coord(st["s"], backend)))
+        return ConstructionTrace(dim=dim, backend=backend, steps=tuple(steps))
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

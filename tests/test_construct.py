@@ -1,5 +1,8 @@
+import ast
 import math
+import operator
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -14,10 +17,24 @@ from acuta import (ConstructionConfig, ConstructionError, ConstructionTrace,
                    set_margin, squared_diameter, verify_acute,
                    verify_nonobtuse)
 from acuta._designs import (DESIGN_MARGINS, LADDER_MAX_DIM,
-                            LADDER_MAX_DIM_SECONDS, ladder_k1)
+                            LADDER_MAX_DIM_SECONDS, ladder_ks)
 from acuta.cli import EXIT_CONSTRUCTION, main
 
 F = Fraction
+
+
+def exact_value(text):
+    """A printed figure, digits with commas or an expression of numbers,
+    +, -, * and **, evaluated in exact arithmetic."""
+    ops = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Pow: operator.pow}
+
+    def ev(node):
+        if isinstance(node, ast.BinOp):
+            return ops[type(node.op)](ev(node.left), ev(node.right))
+        assert isinstance(node, ast.Constant), ast.dump(node)
+        return F(str(node.value))
+    return ev(ast.parse(text.replace(",", ""), mode="eval").body)
 
 
 class TestHypercube:
@@ -293,7 +310,7 @@ class TestAdaptive:
                                    10 ** 309])
     def test_huge_dims_refuse_at_once(self, capsys, d, mode):
         # Past the float64 and int<->str digit ranges the refusal's figures
-        # become powers of ten; none may crash, read inf or build 2**(d-1).
+        # become expressions in d; none may crash, read inf or build 2**(d-1).
         t0 = time.perf_counter()
         assert main(["generate", str(d), "--mode", mode]) == EXIT_CONSTRUCTION
         assert time.perf_counter() - t0 < 1.0
@@ -301,57 +318,82 @@ class TestAdaptive:
         assert err.startswith(f"error: construction at d = {d} ")
         assert "scale is 2**-" in err and "inf" not in err
         if mode == "exact":
-            assert re.search(r"would take about 10\^\d+ s$", err.strip())
+            assert re.search(r"would take about [\d.]+ s \* 8\*\*\d+$",
+                             err.strip())
 
-    @pytest.mark.parametrize("d", [26, 27, 60])
+    @pytest.mark.parametrize("backend", ["rational", "float64"])
+    def test_dim_too_long_to_print_is_refused(self, backend):
+        # A refusal names d, so a d that CPython's int-to-str guard (at its
+        # default, which writing a large exact value lifts) cannot print
+        # is refused up front, by its bit length.
+        d = 10 ** 5000
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(ValueError,
+                               match=f"dim of {d.bit_length():,} bits"):
+                ConstructionConfig(dim=d, backend=backend)
+            assert time.perf_counter() - t0 < 1.0
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    def test_float_ladder_dim_is_refused_by_construction_only(self):
+        # No float design exists at d = 5, so an apex height past the
+        # float range is kept as given and construction refuses the d.
+        cfg = ConstructionConfig(dim=5, backend="float64", apex_height="1e400")
+        with pytest.raises(ConstructionError, match="below the float64 range"):
+            construct_acute_cube(cfg)
+
+    @pytest.mark.parametrize("d", [11, 17, 18, 26, 27, 60])
     def test_refusal_figures_match_exact_arithmetic(self, d):
-        # Figures from 10**15 on read 10^N, N the integer nearest their
-        # log10; below, they are printed in full.
+        # Up to d = 17 the figures are printed in full; beyond, as
+        # expressions in d. Either way they evaluate to the true counts.
         with pytest.raises(ConstructionError) as exc:
             construct_acute_cube(ConstructionConfig(dim=d))
         m = re.fullmatch(
             rf"construction at d = {d} is beyond the ladder's limit "
-            rf"d = {LADDER_MAX_DIM}: certifying its (\S+) points takes (\S+) "
-            r"exact apex dots and its deepest ladder scale is 2\*\*-\(about "
-            r"10\^(\d+|\(10\^\d+\))\); d = \d+ checks [\d,]+ dots in "
-            rf"[\d.]+ s, so d = {d} would take about 10\^(\d+) s",
+            rf"d = {LADDER_MAX_DIM}: certifying its (.+) points takes (.+) "
+            r"exact apex dots and its deepest ladder scale is 2\*\*-\(.+\); "
+            r"d = \d+ checks ([\d,]+) dots in ([\d.]+) s, "
+            rf"so d = {d} would take about (.+) s(?: \* (8\*\*\d+))?",
             str(exc.value))
         assert m, str(exc.value)
-        points, dots, deepest, secs = m.groups()
-
-        def near(v, n):          # 10**(n - 1/2) <= v < 10**(n + 1/2)
-            return F(10) ** (2 * n - 1) <= v * v < F(10) ** (2 * n + 1)
+        points, dots, dots_top, secs, took, growth = m.groups()
 
         n = 2 ** (d - 1) + 1
         n_dots = n * (n - 1) * (n - 2) // 2
         top = 2 ** (LADDER_MAX_DIM - 1) + 1
-        took = F(LADDER_MAX_DIM_SECONDS) * n_dots / (top * (top - 1)
-                                                    * (top - 2) // 2)
-        assert points == str(n) if n < 10 ** 15 else near(n, int(points[4:]))
-        assert dots.startswith("~10^") and near(n_dots, int(dots[4:]))
-        assert took >= 10 ** 15 and near(took, int(secs))
-
-        # k_L = k_1 3^(L-1) + (3^(L-1) - 1)/2 with L = 2**(d-2): bound
-        # X = log10 k_L between rationals, from ln r = 2 atanh((r-1)/(r+1)).
-        def ln(r, terms=200):
-            y = (r - 1) / (r + 1)
-            s = sum(y ** (2 * k + 1) / (2 * k + 1) for k in range(terms))
-            return 2 * s, 2 * (s + y ** (2 * terms + 1)
-                               / ((2 * terms + 1) * (1 - y * y)))
-
-        (l3, h3), (l10, h10) = ln(F(3)), ln(F(10))
-        lk, hk = ln(ladder_k1(d) + F(1, 2))
-        levels = 2 ** (d - 2)
-        # k_L = (k_1 + 1/2) 3^(L-1) (1 - r) with 0 < r < 3**(1-L) < 10**-100
-        x_lo = ((levels - 1) * l3 + lk) / h10 - F(1, 10 ** 100)
-        x_hi = ((levels - 1) * h3 + hk) / l10
-        if deepest.startswith("("):
-            y = int(deepest[4:-1])
-            assert x_lo >= 10 ** 15
-            assert near(x_lo, y) and near(x_hi, y)
+        assert exact_value(dots_top) == top * (top - 1) * (top - 2) // 2
+        assert exact_value(points) == n
+        assert exact_value(dots) == n_dots
+        if d <= 17:
+            assert growth is None
+            for figure in (points, dots, took):
+                assert re.fullmatch(r"[\d,]+", figure)
+            want = F(LADDER_MAX_DIM_SECONDS) * n_dots / exact_value(dots_top)
+            assert abs(exact_value(took) - want) <= F(1, 2)
         else:
-            assert x_hi < 10 ** 15
-            assert int(deepest) - F(1, 2) < x_lo <= x_hi < int(deepest) + F(1, 2)
+            # secs * 8**(d - top) undercounts the scaled time by a factor
+            # below 1 + 4**(2 - top).
+            assert took == secs == f"{LADDER_MAX_DIM_SECONDS:.1f}"
+            want = exact_value(secs) * n_dots / exact_value(dots_top)
+            low = exact_value(secs) * exact_value(growth)
+            assert low < want < low * (1 + F(1, 4 ** (LADDER_MAX_DIM - 2)))
+
+    @pytest.mark.parametrize("d", range(5, 13))
+    def test_refused_deepest_scale_is_the_ladders(self, d):
+        # k_L in full for d <= 6, beyond as (k_1 + 1/2) 3**(L-1) - 1/2.
+        backends = ["float64"] + ["rational"] * (d > LADDER_MAX_DIM)
+        for backend in backends:
+            with pytest.raises(ConstructionError) as exc:
+                construct_acute_cube(ConstructionConfig(dim=d,
+                                                        backend=backend))
+            k = re.search(r"scale is 2\*\*-(\d+|\(\d+\.5 \* 3\*\*\(2\*\*"
+                          rf"{d - 2} - 1\) - 0\.5\))[;)]",
+                          str(exc.value)).group(1)
+            assert k.isdigit() == (d <= 6)
+            assert exact_value(k) == ladder_ks(d)[-1]
 
     def test_apex_near_boundary_fails_guard_or_verification(self):
         # The d=3 table design was built for c = 3/2; squeezing the apex down

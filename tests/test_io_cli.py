@@ -226,6 +226,22 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             load_point_set(path)
 
+    @pytest.mark.parametrize("index", [1.9, "1", True])
+    def test_trace_index_must_be_a_json_integer(self, tmp_path, capsys,
+                                                index):
+        # Each of these once loaded as vertex 1.
+        obj = point_set_to_obj(*construct_acute_cube(
+            ConstructionConfig(dim=3)))
+        for st in obj["trace"]["steps"]:
+            if st["index"] == 1:
+                st["index"] = index
+        path = write_json(tmp_path / "bad.json", obj)
+        assert main(["verify", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: trace step index must be an "
+                                f"integer, got {index!r}\n")
+
     def test_trace_of_a_huge_dim_is_refused_at_once(self, tmp_path):
         # No set or trace of this dim could be checked against 2**(dim - 1)
         # steps by building that number.
@@ -353,6 +369,15 @@ class TestCli:
         p = tmp_path / "d3.json"
         save_point_set(p, ps)
         assert main(["verify", str(p), "--check", "antipodal"]) == 0
+
+    def test_verify_antipodal_refuses_verdict_mode(self, tmp_path, capsys):
+        path = write_json(tmp_path / "sq.json", square_obj())
+        assert main(["verify", path, "--check", "antipodal",
+                     "--mode", "verdict"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --mode verdict applies to --check "
+                                "acute and nonobtuse only\n")
 
     def test_verify_generated_set_round_trip(self, tmp_path, capsys):
         out = tmp_path / "d4.json"

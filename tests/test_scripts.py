@@ -21,7 +21,7 @@ def run(*argv):
 
 
 @pytest.mark.parametrize("script, args, expect", [
-    ("margin_survey.py", ["--dmax", "3"], "d=3 rational: n=5"),
+    ("margin_survey.py", ["--dmax", "5"], "d=5 float64 : FAILED"),
     ("run_ladder.py", ["--dim", "5"], "points: 17"),
 ], ids=["margin_survey", "run_ladder"])
 def test_script_exits_0(script, args, expect):
