@@ -19,7 +19,8 @@ ladder table gives the measured build and certify times):
    10     513  2^-(3.47e122)      ~2^-(4.63e122)
 
 From d = 6 on the coordinates are sparse dyadic sums (a dense Fraction of
-2^-78918988 would need 10**8 bits), so ``--out`` only works for d = 5.
+2^-78918988 would need 10**8 bits); ``--out`` writes them in the file
+format's binary form, which ``acuta verify`` reads back.
 d = 11 and above are refused: the exact scan needs 536 870 400 apex dots
 at d = 11.
 """

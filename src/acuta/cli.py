@@ -58,15 +58,17 @@ def _report_obj(report) -> dict:
         witness = {
             "apex": report.witness.apex_index,
             "legs": [report.witness.leg_index_1, report.witness.leg_index_2],
-            "dot": render_coord(report.witness.dot_value),
+            "dot": render_coord(report.witness.dot_value, decimal=True),
         }
     return {
         "check": report.check,
         "verdict": report.verdict,
-        "margin": None if report.margin is None else render_coord(report.margin),
+        "margin": (None if report.margin is None
+                   else render_coord(report.margin, decimal=True)),
         "witness": witness,
         "triples_checked": report.triples_checked,
-        "squared_diameter": render_coord(report.squared_diameter),
+        "squared_diameter": render_coord(report.squared_diameter,
+                                         decimal=True),
         "backend": report.backend,
         "elapsed": round(report.elapsed, 6),
     }

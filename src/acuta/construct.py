@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -59,6 +60,12 @@ __all__ = [
 ]
 
 
+# A refusal names d, so a d with more digits than CPython's int-to-str guard
+# prints at its default is refused up front, however far the process has
+# lifted the guard since (writing a large exact value lifts it).
+_UNPRINTABLE_DIM = 10 ** sys.int_info.default_max_str_digits
+
+
 class ConstructionError(RuntimeError):
     """The requested set is out of reach, or failed its guard or certificate."""
 
@@ -81,11 +88,9 @@ class ConstructionConfig:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
         if self.backend not in (RATIONAL, FLOAT64):
             raise ValueError(f"unknown backend: {self.backend!r}")
-        try:
-            str(self.dim)     # a refusal names d
-        except ValueError:
+        if self.dim >= _UNPRINTABLE_DIM:
             raise ValueError(f"dim of {self.dim.bit_length():,} bits has "
-                             "too many digits to print") from None
+                             "too many digits to print")
 
         c = Fraction(self.dim, 2) if self.apex_height is None \
             else Fraction(self.apex_height)

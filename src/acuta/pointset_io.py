@@ -4,7 +4,7 @@ The native format is JSON with three fixed keys plus an optional trace:
 
     {"backend": "rational" | "float64",
      "dim": d,
-     "points": [[...], ...],          # "p/q" strings, or bare floats
+     "points": [[...], ...],          # exact strings, or bare floats
      "trace": {...}}                  # optional construction trace
 
 A trace holds ``backend``, ``dim`` and ``steps``, one step per cube vertex
@@ -14,16 +14,38 @@ for a frozen design's step). The reader ignores keys it does not model,
 such as the ``a``, ``b`` and ``vertex_order`` that older files carry.
 
 Serialization is canonical — keys sorted, no whitespace — so equal sets
-produce byte-identical files. Rational coordinates are written as "p/q"
-strings in lowest terms, which holds every exact value up to
-``FRACTION_BITS`` bits; a larger :class:`Dyadic` (exact sets with d >= 6)
-cannot be written and raises ValueError. The reader refuses, with
-ParseError and before parsing it, any coordinate longer than a "p/q" of
-``_MAX_COORD_BITS`` bits, and lifts CPython's int<->str digit guard only
-while it parses; the writer lifts it for good, as far as the values it
-writes need. Float coordinates rely on JSON's shortest round-tripping float
-encoding. CSV output is supported for the float
-backend only, with header ``x0,...,x{d-1}`` and no trace.
+produce byte-identical files. An exact value p/q in lowest terms is written
+as decimal ``"p/q"`` while |p| and q have at most ``_DECIMAL_BITS`` (64)
+bits, and otherwise in a binary form, a sum of hex terms over an optional
+odd denominator o > 1::
+
+    binary := term (("+" | "-") hex "p" exp)* ("/" hex)?
+    term   := "-"? hex "p" exp
+    hex    := "0x" [0-9a-f]+
+    exp    := "-"? [0-9]+
+
+so that 1 - 2**-12028 reads ``"0x1p0-0x1p-12028"``. For p/(o * 2**k) the
+terms are p's signed binary digits when :func:`~acuta.geometry._digits`
+takes them (at most ``_LEAD_TERMS`` of them), else p is one dense term; a
+:class:`Dyadic` too large for a Fraction writes its own terms. So does
+every Dyadic coordinate of a set, which :class:`PointSet` keeps only when
+one of its values is too large for a Fraction (exact ladder sets with
+d >= 6): the loaded set then has the saved set's terms, and its scan the
+same work. Both forms convert in time linear in their length.
+
+The reader refuses, with ParseError and before any int() call, a coordinate
+longer than a decimal "p/q" of ``_MAX_COORD_BITS`` bits can be, a binary
+value of more than ``_MAX_TERMS`` terms or with an exponent of more than
+``_MAX_EXP_DIGITS`` digits (d = 10's deepest has 123), an even denominator,
+and a value beyond ``FRACTION_BITS`` over a denominator. It builds a
+Dyadic, divided by o if o > 1; :class:`PointSet` then holds Fractions for
+every set whose values fit one. It lifts CPython's int<->str digit guard
+only while it parses. The writer lifts it for good, by bits // 3 + 2
+digits for each exact value that fits a Fraction, in either form: callers
+that read a report back with Fraction in the same process rely on it.
+Float coordinates rely on JSON's shortest round-tripping float encoding.
+CSV output is supported for the float backend only, with header
+``x0,...,x{d-1}`` and no trace.
 """
 from __future__ import annotations
 
@@ -31,13 +53,14 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
 from .construct import ConstructionTrace, TraceStep
-from .geometry import GeometryError, PointSet
+from .geometry import GeometryError, PointSet, _digits, _odd
 from .scalars import FLOAT64, FRACTION_BITS, RATIONAL, Dyadic, RawScalar
 
 __all__ = ["ParseError", "render_coord", "point_set_to_obj",
@@ -57,6 +80,16 @@ class ParseError(ValueError):
 _MAX_COORD_BITS = 4 * FRACTION_BITS
 _MAX_DIGITS = int(_MAX_COORD_BITS * math.log10(2)) + 2
 _MAX_COORD_CHARS = _MAX_DIGITS + 2
+# Exact values with a longer numerator or denominator take the binary form.
+_DECIMAL_BITS = 64
+# The reader's caps on a binary value: ladder values have at most 4 terms,
+# and the deepest exponent has 123 digits at d = 10 and about 490 at d = 12.
+_MAX_TERMS = 1024
+_MAX_EXP_DIGITS = 1000
+_HEX = "0x[0-9a-f]+"
+_HEX_TERM = rf"{_HEX}p-?[0-9]{{1,{_MAX_EXP_DIGITS}}}"
+_BINARY = re.compile(rf"-?{_HEX_TERM}(?:[+-]{_HEX_TERM})*(?:/{_HEX})?")
+_TERM = re.compile(r"(-?)0x([0-9a-f]+)p(-?[0-9]+)")
 
 
 def _lift_digit_guard(digits: int) -> int:
@@ -68,38 +101,64 @@ def _lift_digit_guard(digits: int) -> int:
     return old
 
 
-def render_coord(x: RawScalar) -> Union[str, float]:
+def render_coord(x: RawScalar, decimal: bool = False) -> Union[str, float]:
+    """A value as files and reports write it (see the module docstring).
+    With ``decimal``, as ``acuta verify`` reports print them, every value a
+    Fraction holds is decimal "p/q", whatever its size."""
     if isinstance(x, Dyadic):
         if not x.fits_fraction():
-            lo, hi = x.terms[-1][0], x.terms[0][0]
-            raise ValueError(
-                f"cannot write an exact coordinate of "
-                f"{max(hi, 0) - min(lo, 0):,} bits as 'p/q' (limit "
-                f"{FRACTION_BITS:,} bits); the file format has no sparse "
-                "encoding yet, so exact ladder sets with d >= 6 cannot be "
-                "saved")
+            return _binary(x.terms)
         x = x.to_fraction()
-    if isinstance(x, Fraction):
-        p, q = x.numerator, x.denominator
-        # Writing the package's own values lifts the guard for the rest of
-        # the process, as far as the value needs (log10(2) < 1/3): callers
-        # that read the text back with Fraction in the same process, such
-        # as bench/workloads.py on `acuta verify` reports, rely on it.
-        # Reading untrusted text lifts it only for the duration of a load.
-        _lift_digit_guard(max(p.bit_length(), q.bit_length()) // 3 + 2)
+    if not isinstance(x, Fraction):
+        return float(x)
+    p, q = x.numerator, x.denominator
+    bits = max(p.bit_length(), q.bit_length())
+    # For good and in either form, as far as the value needs (log10(2) <
+    # 1/3); see the module docstring.
+    _lift_digit_guard(bits // 3 + 2)
+    if decimal or bits <= _DECIMAL_BITS:
         return f"{p}/{q}"
-    return float(x)
+    o = _odd(q)
+    return _binary(_digits(x, o).terms, o)
+
+
+def _binary(terms, o: int = 1) -> str:
+    body = "".join(f"{'-' if c < 0 else '+'}0x{abs(c):x}p{e}"
+                   for e, c in terms).removeprefix("+") or "0x0p0"
+    return f"{body}/0x{o:x}" if o > 1 else body
+
+
+def _parse_binary(raw: str) -> RawScalar:
+    if raw.count("p") > _MAX_TERMS:
+        raise ParseError(f"binary coordinate has more than {_MAX_TERMS} "
+                         "terms")
+    if not _BINARY.fullmatch(raw):
+        raise ParseError(f"bad binary coordinate {raw!r}")
+    body, _, den = raw.partition("/")
+    x = Dyadic((int(e), -int(c, 16) if sign == "-" else int(c, 16))
+               for sign, c, e in _TERM.findall(body))
+    if not den:
+        return x
+    o = int(den, 16)
+    if not o & 1:
+        raise ParseError(f"binary coordinate has an even denominator {den}")
+    if not x.fits_fraction():
+        raise ParseError(f"binary coordinate over {den} exceeds the "
+                         f"{FRACTION_BITS:,}-bit limit of a Fraction")
+    return x.over(o)
 
 
 def _parse_coord(raw, backend) -> RawScalar:
     if backend == RATIONAL:
         if not isinstance(raw, str):
             raise ParseError(
-                f"rational coordinates must be 'p/q' strings, got {raw!r}")
+                f"rational coordinates must be strings, got {raw!r}")
         if len(raw) > _MAX_COORD_CHARS:
             raise ParseError(
                 f"rational coordinate of {len(raw):,} characters exceeds "
                 f"the {_MAX_COORD_CHARS:,} of a {_MAX_COORD_BITS:,}-bit 'p/q'")
+        if "x" in raw:
+            return _parse_binary(raw)
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
@@ -159,10 +218,14 @@ def _trace_from_obj(obj, dim: int, backend: str) -> ConstructionTrace:
 
 def point_set_to_obj(ps: PointSet,
                      trace: Optional[ConstructionTrace] = None) -> dict:
+    # A set keeps Dyadic values only if one is too large for a Fraction
+    # (PointSet). They are written with their own terms, so that the loaded
+    # set has the saved set's terms, and its Gram matrix the same work.
     obj = {
         "backend": ps.backend,
         "dim": ps.dim,
-        "points": [[render_coord(x) for x in p] for p in ps.points],
+        "points": [[_binary(x.terms) if isinstance(x, Dyadic)
+                    else render_coord(x) for x in p] for p in ps.points],
     }
     if trace is not None:
         obj["trace"] = _trace_to_obj(trace)

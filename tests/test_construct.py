@@ -338,6 +338,25 @@ class TestAdaptive:
         finally:
             sys.set_int_max_str_digits(old)
 
+    @pytest.mark.parametrize("backend", ["rational", "float64"])
+    def test_dim_too_long_to_print_is_refused_after_a_save(self, tmp_path,
+                                                           backend):
+        # Saving the d = 5 set lifts the guard for the process, past the
+        # 5001 digits of this d; the refusal must not depend on that.
+        from acuta import save_point_set
+        d = 10 ** 5000
+        ps, trace, _ = construct_full(ConstructionConfig(dim=5))
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            save_point_set(tmp_path / "d5.json", ps, trace=trace)
+            assert sys.get_int_max_str_digits() > 5001
+            with pytest.raises(ValueError,
+                               match=f"dim of {d.bit_length():,} bits"):
+                ConstructionConfig(dim=d, backend=backend)
+        finally:
+            sys.set_int_max_str_digits(old)
+
     def test_float_ladder_dim_is_refused_by_construction_only(self):
         # No float design exists at d = 5, so an apex height past the
         # float range is kept as given and construction refuses the d.

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -6,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from acuta import (ConstructionConfig, ParseError, PointSet,
+from acuta import (ConstructionConfig, Dyadic, ParseError, PointSet,
                    construct_acute_cube, construct_full, load_point_set,
                    save_point_set, set_margin, verify_acute)
 from acuta.cli import _report_obj, main
-from acuta.pointset_io import dumps_canonical, point_set_to_obj
+from acuta.pointset_io import (_MAX_COORD_CHARS, _MAX_TERMS, _parse_coord,
+                               dumps_canonical, point_set_to_obj, render_coord)
+from acuta.scalars import as_exact
 
 F = Fraction
 
@@ -86,7 +90,7 @@ class TestJsonRoundTrip:
             if d < 5:
                 assert st["s"] is None
             else:
-                s = Fraction(st["s"])
+                s = as_exact(_parse_coord(st["s"], backend))
                 assert s.numerator == 1 and s.denominator.bit_count() == 1
 
     @pytest.mark.parametrize("backend", ["rational", "float64"])
@@ -113,14 +117,96 @@ class TestJsonRoundTrip:
         assert loaded.points == ps.points
 
 
+def decimal_obj(ps, trace=None):
+    """``point_set_to_obj`` with every exact value in decimal "p/q", as
+    files were written before the binary form."""
+    obj = point_set_to_obj(ps, trace)
+    obj["points"] = [[render_coord(x, decimal=True) for x in p]
+                     for p in ps.points]
+    if trace is not None:
+        for st, raw in zip(trace.steps, obj["trace"]["steps"]):
+            raw["eps"] = render_coord(st.eps, decimal=True)
+            raw["s"] = None if st.s is None else render_coord(st.s,
+                                                              decimal=True)
+    return obj
+
+
+def kicked_d5():
+    """The d = 5 set with its deepest cube vertex, whose coordinates have
+    thousands of bits, moved by a non-dyadic amount: its coordinates get
+    the odd denominator 3."""
+    ps = construct_full(ConstructionConfig(dim=5))[0]
+    pts = list(ps.points)
+    i = max(range(16), key=lambda i: pts[i][0].denominator)
+    pts[i] = tuple(x + F(k, 3 << 40) for k, x in zip((1, 2, 4, 5, 7), pts[i]))
+    return PointSet(dim=5, points=tuple(pts), backend="rational"), i
+
+
+class TestBinaryForm:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_write_read_write_is_byte_identical(self, tmp_path, d):
+        ps, trace, _ = construct_full(ConstructionConfig(dim=d))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_point_set(a, ps, trace=trace)
+        loaded, loaded_trace = load_point_set(a)
+        assert loaded.points == ps.points and loaded_trace == trace
+        # Fractions up to d = 5; from d = 6 on the same types and Dyadic
+        # terms, so the scan of the loaded set does the saved one's work.
+        assert [[(type(x), getattr(x, "terms", None)) for x in p]
+                for p in loaded.points] == [
+            [(type(x), getattr(x, "terms", None)) for x in p]
+            for p in ps.points]
+        assert d > 5 or all(type(x) is F for p in loaded.points for x in p)
+        save_point_set(b, loaded, trace=loaded_trace)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_kicked_set_round_trips(self, tmp_path):
+        ps, i = kicked_d5()
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_point_set(a, ps)
+        row = json.loads(a.read_text())["points"][i]
+        assert all(x.endswith("/0x3") for x in row)
+        loaded, _ = load_point_set(a)
+        assert loaded.points == ps.points
+        assert all(type(x) is F for p in loaded.points for x in p)
+        save_point_set(b, loaded)
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("x", [
+        F(1, 2), F(-3, 7), F(2 ** 64 - 1, 2 ** 63), F(1, 2 ** 64),
+        1 - F(1, 2 ** 200), F(-(2 ** 200) - 1, 2 ** 200),
+        F(3 ** 90, 2 ** 150), F(3 ** 90 + 1, 5 * 2 ** 150),
+        F(2 ** 300 + 2 ** 100)],
+        ids=["half", "small-odd", "64-bits", "65-bits", "two-digits",
+             "negative", "dense", "odd-denominator", "integer"])
+    def test_equal_values_give_identical_bytes(self, x):
+        # A Dyadic that a Fraction holds is written as that Fraction, and
+        # the text reads back as the same value.
+        text = render_coord(x)
+        assert ("0x" in text) == (max(x.numerator.bit_length(),
+                                      x.denominator.bit_length()) > 64)
+        if x.denominator & (x.denominator - 1) == 0:
+            assert render_coord(Dyadic.of(x)) == text
+        assert as_exact(_parse_coord(text, "rational")) == x
+
+    def test_dyadic_too_large_for_a_fraction_writes_its_terms(self):
+        x = Dyadic([(0, 1), (-10 ** 30, -1), (-3 * 10 ** 30, 5)])
+        text = render_coord(x)
+        assert text == ("0x1p0-0x1p-1000000000000000000000000000000"
+                        "+0x5p-3000000000000000000000000000000")
+        back = _parse_coord(text, "rational")
+        assert isinstance(back, Dyadic) and back.terms == x.terms
+
+
 class TestDigitGuard:
     def test_d5_load_leaves_the_guard_alone(self, tmp_path):
-        # The d = 5 file holds integers of about 18 000 digits, past
-        # CPython's default int<->str guard of 4300; reading it may lift the
-        # guard only while it parses.
+        # A d = 5 file in decimal "p/q", as older versions wrote it, holds
+        # integers of about 18 000 digits, past CPython's default int<->str
+        # guard of 4300: it still loads, and reading it may lift the guard
+        # only while it parses.
         ps, trace, _ = construct_full(ConstructionConfig(dim=5))
         p = tmp_path / "d5.json"
-        save_point_set(p, ps, trace=trace)
+        write_json(p, decimal_obj(ps, trace))
         before = sys.get_int_max_str_digits()
         try:
             sys.set_int_max_str_digits(4300)
@@ -288,6 +374,41 @@ class TestParseErrors:
                      + "7" * digits + ']]}')
         with pytest.raises(ParseError):
             load_point_set(p)
+
+    @pytest.mark.parametrize("raw", [
+        "+".join(["0x1p0"] * 10 ** 6),
+        "+".join(f"0x1p{k}" for k in range(2 * _MAX_TERMS)),
+        "0x1p-" + "9" * 10 ** 6,
+        "0x1p-" + "9" * 1001,
+        "0x" + "f" * _MAX_COORD_CHARS + "p0",
+        "0x1p0/0x2", "0x1p0/0x0", "0x1p0/0x",
+        "0x1Fp0", "0X1p0", "0x1p0/0x1F", "0x1_0p0", "0x1p1_0",
+        "0xp0", "0x1p", "0x1p0-", "0x1p00x1p0", "+0x1p0", "0x1p+1",
+        "0x1p-70000/0x3", "0x1p-" + "9" * 100 + "/0x3",
+    ], ids=["1e6-terms", "terms-over-cap", "1e6-digit-exponent",
+            "1001-digit-exponent", "long-coefficient", "even-denominator",
+            "zero-denominator", "empty-denominator", "uppercase-digit",
+            "uppercase-x", "uppercase-denominator", "underscore",
+            "underscore-exponent", "no-digits", "no-exponent",
+            "trailing-sign", "no-sign", "leading-plus", "plus-exponent",
+            "beyond-fraction-over-3", "huge-exponent-over-3"])
+    def test_hostile_binary_coordinate_refused_at_once(self, tmp_path, raw):
+        path = write_json(tmp_path / "bad.json",
+                          square_obj(points=[[raw, "0"], ["0", "1"],
+                                             ["1", "0"]]))
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError):
+            load_point_set(path)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_d10_exponents_load(self, tmp_path):
+        # The deepest scale of the d = 10 ladder has a 123-digit exponent.
+        deep = "0x1p-" + "9" * 123
+        path = write_json(tmp_path / "deep.json", {
+            "backend": "rational", "dim": 1,
+            "points": [["0/1"], [deep], ["0x1p0-" + deep]]})
+        ps, _ = load_point_set(path)
+        assert ps.points[1][0] == Dyadic.pow2(-int("9" * 123))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
@@ -459,16 +580,31 @@ class TestCli:
             out = capsys.readouterr().out
             assert f"points={points} margin=exact>0 (~2^{scale}) " in out
 
-    def test_generate_d6_json_refused_at_once(self, tmp_path, capsys):
-        # "p/q" would need ~10**8-bit integers; the writer must refuse
-        # instead of converting them to decimal.
-        out = tmp_path / "d6.json"
-        t0 = time.perf_counter()
-        assert main(["generate", "6", "--out", str(out)]) == 2
-        assert time.perf_counter() - t0 < 60
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "'p/q'" in err
-        assert not out.exists()
+    def test_generate_d8_json_verifies(self, tmp_path, capsys):
+        # Exact sets with d >= 6 hold values no "p/q" can; the binary form
+        # writes their terms, and `acuta verify` re-certifies the file.
+        out = tmp_path / "d8.json"
+        assert main(["generate", "8", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 0
+        got = json.loads(capsys.readouterr().out)
+        _, _, want = construct_full(ConstructionConfig(dim=8))
+        margin = _parse_coord(got["margin"], "rational")
+        assert margin == want.margin
+        assert margin.floor_log2() == want.margin.floor_log2()
+        assert [got["witness"]["apex"], *got["witness"]["legs"]] == list(
+            want.witness.indices())
+
+    def test_verify_d5_stdout_is_unchanged(self, tmp_path, capsys):
+        # The sha256 of the report of the parent of the binary form, with
+        # its elapsed time cut out: reports keep decimal "p/q".
+        out = tmp_path / "d5.json"
+        assert main(["generate", "5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 0
+        text = re.sub(r'"elapsed":[0-9.e-]+,', "", capsys.readouterr().out)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "75bf70ccc918f6fe6484ca208a7d97a5dcaca422cf0fe9accfd39c71412a20fb")
 
 
 class TestObjShape:

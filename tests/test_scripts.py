@@ -31,18 +31,20 @@ def test_script_exits_0(script, args, expect):
 
 
 def test_run_ladder_out_file_verifies(tmp_path):
-    out = tmp_path / "f.json"
-    proc = run(str(ROOT / "scripts" / "run_ladder.py"), "--dim", "5",
-               "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    printed = re.search(r"^witness: \((\d+), (\d+), (\d+)\)$", proc.stdout,
-                        re.MULTILINE)
-    proc = run("-m", "acuta.cli", "verify", str(out))
-    assert proc.returncode == 0, proc.stderr
-    assert '"verdict":true' in proc.stdout
-    witness = json.loads(proc.stdout)["witness"]
-    assert [witness["apex"], *witness["legs"]] == [
-        int(k) for k in printed.groups()]
+    # From d = 6 on the file holds values no "p/q" can: the binary form.
+    for dim in (5, 6):
+        out = tmp_path / f"d{dim}.json"
+        proc = run(str(ROOT / "scripts" / "run_ladder.py"), "--dim", str(dim),
+                   "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        printed = re.search(r"^witness: \((\d+), (\d+), (\d+)\)$",
+                            proc.stdout, re.MULTILINE)
+        proc = run("-m", "acuta.cli", "verify", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert '"verdict":true' in proc.stdout
+        witness = json.loads(proc.stdout)["witness"]
+        assert [witness["apex"], *witness["legs"]] == [
+            int(k) for k in printed.groups()]
 
 
 def test_benchmark_tracer_installs_and_uninstalls():
