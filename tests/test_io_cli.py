@@ -117,17 +117,15 @@ class TestJsonRoundTrip:
         assert loaded.points == ps.points
 
 
-def decimal_obj(ps, trace=None):
-    """``point_set_to_obj`` with every exact value in decimal "p/q", as
-    files were written before the binary form."""
+def decimal_obj(ps, trace):
+    """``point_set_to_obj`` of a ladder set and its trace with every exact
+    value in decimal "p/q", as files were written before the binary form."""
     obj = point_set_to_obj(ps, trace)
     obj["points"] = [[render_coord(x, decimal=True) for x in p]
                      for p in ps.points]
-    if trace is not None:
-        for st, raw in zip(trace.steps, obj["trace"]["steps"]):
-            raw["eps"] = render_coord(st.eps, decimal=True)
-            raw["s"] = None if st.s is None else render_coord(st.s,
-                                                              decimal=True)
+    for st, raw in zip(trace.steps, obj["trace"]["steps"]):
+        raw["eps"] = render_coord(st.eps, decimal=True)
+        raw["s"] = render_coord(st.s, decimal=True)
     return obj
 
 
