@@ -148,6 +148,7 @@ class _Kernel:
 
     n: int
     _minimum = None
+    _margin = None
     _sqdiam = None
 
     def minimum(self):
@@ -159,6 +160,14 @@ class _Kernel:
             raw, args = self.min_dots(range(self.n))
             self._minimum = (raw, tuple(args))
         return self._minimum
+
+    def margin(self) -> RawScalar:
+        """The true value of the :meth:`minimum`'s raw dot: converted once
+        per kernel and kept, so that every check of the set reports the
+        same object."""
+        if self._margin is None:
+            self._margin = self.value(self.minimum()[0])
+        return self._margin
 
     def sqdiam(self) -> RawScalar:
         """The set's squared diameter, ``value(max_sqdist())``: computed
@@ -851,6 +860,5 @@ def set_margin(ps: PointSet,
     if n < 3:
         raise GeometryError(f"need at least 3 points, got {n}")
     gram = kernel(ps)
-    raw, args = gram.minimum()
-    margin = gram.value(raw)
-    return margin, TripleWitness(*args[0], margin)
+    margin = gram.margin()
+    return margin, TripleWitness(*gram.minimum()[1][0], margin)

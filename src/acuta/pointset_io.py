@@ -31,7 +31,9 @@ takes them (at most ``_LEAD_TERMS`` of them), else p is one dense term; a
 every Dyadic coordinate of a set, which :class:`PointSet` keeps only when
 one of its values is too large for a Fraction (exact ladder sets with
 d >= 6): the loaded set then has the saved set's terms, and its scan the
-same work. Both forms convert in time linear in their length.
+same work. The binary form reads and writes in time linear in its length:
+the reader's Fraction comes from :meth:`Dyadic.over`, which takes no gcd of
+two long numbers (the README gives the measured times).
 
 The reader refuses, with ParseError and before any int() call, a coordinate
 longer than a decimal "p/q" of ``_MAX_COORD_BITS`` bits can be, a binary
@@ -39,10 +41,12 @@ value of more than ``_MAX_TERMS`` terms or with an exponent of more than
 ``_MAX_EXP_DIGITS`` digits (d = 10's deepest has 123), an even denominator,
 and a value beyond ``FRACTION_BITS`` over a denominator. It builds a
 Dyadic, divided by o if o > 1; :class:`PointSet` then holds Fractions for
-every set whose values fit one. It lifts CPython's int<->str digit guard
-only while it parses. The writer lifts it for good, by bits // 3 + 2
-digits for each exact value that fits a Fraction, in either form: callers
-that read a report back with Fraction in the same process rely on it.
+every set whose values fit one. The writer refuses the same values, with
+ValueError and before it opens the file. The reader lifts CPython's
+int<->str digit guard only while it parses. The writer lifts it for good,
+by bits // 3 + 2 digits for each exact value that fits a Fraction, in
+either form: callers that read a report back with Fraction in the same
+process rely on it.
 Float coordinates rely on JSON's shortest round-tripping float encoding.
 CSV output is supported for the float backend only, with header
 ``x0,...,x{d-1}`` and no trace.
@@ -84,8 +88,11 @@ _MAX_COORD_CHARS = _MAX_DIGITS + 2
 _DECIMAL_BITS = 64
 # The reader's caps on a binary value: ladder values have at most 4 terms,
 # and the deepest exponent has 123 digits at d = 10 and about 490 at d = 12.
+# The writer refuses what these caps, _MAX_COORD_CHARS and FRACTION_BITS
+# over a denominator refuse.
 _MAX_TERMS = 1024
 _MAX_EXP_DIGITS = 1000
+_EXP_LIMIT = 10 ** _MAX_EXP_DIGITS
 _HEX = "0x[0-9a-f]+"
 _HEX_TERM = rf"{_HEX}p-?[0-9]{{1,{_MAX_EXP_DIGITS}}}"
 _BINARY = re.compile(rf"-?{_HEX_TERM}(?:[+-]{_HEX_TERM})*(?:/{_HEX})?")
@@ -104,10 +111,11 @@ def _lift_digit_guard(digits: int) -> int:
 def render_coord(x: RawScalar, decimal: bool = False) -> Union[str, float]:
     """A value as files and reports write it (see the module docstring).
     With ``decimal``, as ``acuta verify`` reports print them, every value a
-    Fraction holds is decimal "p/q", whatever its size."""
+    Fraction holds is decimal "p/q", whatever its size. Without it, a value
+    the reader would refuse raises ValueError."""
     if isinstance(x, Dyadic):
         if not x.fits_fraction():
-            return _binary(x.terms)
+            return _binary(x.terms) if decimal else _file_binary(x)
         x = x.to_fraction()
     if not isinstance(x, Fraction):
         return float(x)
@@ -119,13 +127,34 @@ def render_coord(x: RawScalar, decimal: bool = False) -> Union[str, float]:
     if decimal or bits <= _DECIMAL_BITS:
         return f"{p}/{q}"
     o = _odd(q)
-    return _binary(_digits(x, o).terms, o)
+    return _file_binary(_digits(x, o), o)
 
 
 def _binary(terms, o: int = 1) -> str:
     body = "".join(f"{'-' if c < 0 else '+'}0x{abs(c):x}p{e}"
                    for e, c in terms).removeprefix("+") or "0x0p0"
     return f"{body}/0x{o:x}" if o > 1 else body
+
+
+def _file_binary(x: Dyadic, o: int = 1) -> str:
+    """The binary form of x / o as a file holds it; ValueError for a value
+    the reader's caps refuse, checked on what the writer already has."""
+    t = x.terms
+    if len(t) > _MAX_TERMS:
+        raise ValueError(f"cannot write a coordinate of {len(t):,} terms; "
+                         f"files hold at most {_MAX_TERMS}")
+    if t and not -_EXP_LIMIT < t[-1][0] <= t[0][0] < _EXP_LIMIT:
+        raise ValueError("cannot write a coordinate with an exponent of "
+                         f"more than {_MAX_EXP_DIGITS} digits")
+    if o > 1 and not x.fits_fraction():
+        raise ValueError(f"cannot write a coordinate over {o:#x} beyond the "
+                         f"{FRACTION_BITS:,}-bit limit of a Fraction")
+    raw = _binary(t, o)
+    if len(raw) > _MAX_COORD_CHARS:
+        raise ValueError(f"cannot write a coordinate of {len(raw):,} "
+                         f"characters; files hold at most "
+                         f"{_MAX_COORD_CHARS:,}")
+    return raw
 
 
 def _parse_binary(raw: str) -> RawScalar:
@@ -224,7 +253,7 @@ def point_set_to_obj(ps: PointSet,
     obj = {
         "backend": ps.backend,
         "dim": ps.dim,
-        "points": [[_binary(x.terms) if isinstance(x, Dyadic)
+        "points": [[_file_binary(x) if isinstance(x, Dyadic)
                     else render_coord(x) for x in p] for p in ps.points],
     }
     if trace is not None:

@@ -12,6 +12,8 @@ set in :mod:`acuta.verify`.
 """
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 import sys
 from fractions import Fraction
@@ -179,11 +181,31 @@ class Dyadic:
         return self.over(1)
 
     def over(self, den: int) -> Fraction:
-        """The Fraction self / den, for an int den > 0, whatever its size."""
+        """The Fraction self / den, for an int den > 0, whatever its size.
+
+        Linear in the bits of self for a den of a few words: with
+        self = n * 2**lo, the common power of two leaves by shifts and the
+        rest of the common factor is gcd(den, n % den), so no gcd of two
+        long numbers is taken.
+        """
         t = self.terms
         lo = t[-1][0] if t else 0
         n = sum(c << (e - lo) for e, c in t)
-        return Fraction(n << lo, den) if lo >= 0 else Fraction(n, den << -lo)
+        if not n:       # terms may cancel: 1 - 2 * 2**-1
+            return Fraction(0)
+        z = (n & -n).bit_length() - 1
+        k = (den & -den).bit_length() - 1
+        n >>= z
+        den >>= k
+        lo += z - k
+        g = math.gcd(den, n % den)
+        if g > 1:
+            n //= g
+            den //= g
+        # n and den are odd and coprime now
+        if lo >= 0:
+            return Fraction(_Reduced(n << lo, den))
+        return Fraction(_Reduced(n, den << -lo))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -286,6 +308,23 @@ class Dyadic:
     def __repr__(self) -> str:
         body = " + ".join(f"{c}*2**{e}" for e, c in self.terms) or "0"
         return f"Dyadic({body})"
+
+
+class _Reduced:
+    """A numerator and a denominator > 0 already in lowest terms.
+
+    ``Fraction(r)`` copies the two from any :class:`numbers.Rational`,
+    which must keep them in lowest terms, and so takes no gcd.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator = numerator
+        self.denominator = denominator
+
+
+numbers.Rational.register(_Reduced)
 
 
 def _as_dyadic(x):

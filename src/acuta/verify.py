@@ -97,7 +97,7 @@ def _angle_check(ps: PointSet, check: str, mode: str,
 
     n = len(ps)
     raw, args = gram.minimum()
-    margin = gram.value(raw)
+    margin = gram.margin()
     witness = TripleWitness(*args[0], margin)
     checked = n * (n - 1) * (n - 2) // 6
     if mode == "verdict":
@@ -157,8 +157,8 @@ def verify_antipodal_witness(ps: PointSet) -> VerificationReport:
     gram, sqd, strict = _setup(ps)
 
     n = len(ps)
-    raw, (x, y, z) = gram.min_slab()
-    margin = gram.value(raw)
+    _, (x, y, z) = gram.min_slab()
+    margin = gram.margin()
     verdict = bool(margin > strict)
     return VerificationReport(
         check="antipodal", verdict=verdict, margin=margin,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -12,9 +13,11 @@ from acuta import (ConstructionConfig, Dyadic, ParseError, PointSet,
                    construct_acute_cube, construct_full, load_point_set,
                    save_point_set, set_margin, verify_acute)
 from acuta.cli import _report_obj, main
-from acuta.pointset_io import (_MAX_COORD_CHARS, _MAX_TERMS, _parse_coord,
-                               dumps_canonical, point_set_to_obj, render_coord)
-from acuta.scalars import as_exact
+from acuta.geometry import _digits, _odd
+from acuta.pointset_io import (_MAX_COORD_CHARS, _MAX_EXP_DIGITS, _MAX_TERMS,
+                               _binary, _parse_coord, dumps_canonical,
+                               point_set_to_obj, render_coord)
+from acuta.scalars import FRACTION_BITS, as_exact
 
 F = Fraction
 
@@ -194,6 +197,56 @@ class TestBinaryForm:
                         "+0x5p-3000000000000000000000000000000")
         back = _parse_coord(text, "rational")
         assert isinstance(back, Dyadic) and back.terms == x.terms
+
+
+def _spaced(k):
+    return Dyadic([(-100 * i, 1) for i in range(k)])
+
+
+def _dense(hex_digits):
+    return F(int("a5" * (hex_digits // 2), 16))
+
+
+class TestWriterCaps:
+    """The writer refuses what the reader refuses: each pair is a value one
+    step past a reader cap and one at it."""
+
+    @pytest.mark.parametrize("past, at", [
+        (_spaced(_MAX_TERMS + 1), _spaced(_MAX_TERMS)),
+        (Dyadic.pow2(-10 ** _MAX_EXP_DIGITS),
+         Dyadic.pow2(1 - 10 ** _MAX_EXP_DIGITS)),
+        (Dyadic.pow2(10 ** _MAX_EXP_DIGITS),
+         Dyadic.pow2(10 ** _MAX_EXP_DIGITS - 1)),
+        (_dense(_MAX_COORD_CHARS - 2), _dense(_MAX_COORD_CHARS - 4)),
+        (F(1, 3 << FRACTION_BITS + 1), F(1, 3 << FRACTION_BITS)),
+    ], ids=["terms", "negative-exponent", "positive-exponent", "characters",
+            "fraction-over-3"])
+    def test_save_refuses_what_load_refuses(self, tmp_path, past, at):
+        path = tmp_path / "set.json"
+        big = PointSet(dim=1, points=((past,), (0,)), backend="rational")
+        with pytest.raises(ValueError, match="cannot write"):
+            save_point_set(path, big)
+        assert not path.exists()
+        if isinstance(past, Dyadic):
+            text = _binary(past.terms)
+        else:
+            o = _odd(past.denominator)
+            text = _binary(_digits(past, o).terms, o)
+        with pytest.raises(ParseError):
+            _parse_coord(text, "rational")
+        ok = PointSet(dim=1, points=((at,), (0,)), backend="rational")
+        save_point_set(path, ok)
+        assert load_point_set(path)[0] == ok
+
+    def test_trace_values_are_checked_too(self, tmp_path):
+        ps, trace, _ = construct_full(ConstructionConfig(dim=3))
+        tiny = Dyadic([(-1000 - 100 * i, 1) for i in range(_MAX_TERMS + 1)])
+        last = dataclasses.replace(trace.steps[-1], eps=tiny)
+        trace = dataclasses.replace(trace, steps=trace.steps[:-1] + (last,))
+        path = tmp_path / "set.json"
+        with pytest.raises(ValueError, match="cannot write"):
+            save_point_set(path, ps, trace=trace)
+        assert not path.exists()
 
 
 class TestDigitGuard:

@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acuta import Dyadic, ScalarError
-from acuta.scalars import as_exact, head_split
+from acuta.scalars import _Reduced, as_exact, head_split
 
 
 dyadic_terms = st.lists(
@@ -88,6 +88,43 @@ class TestDyadicAgainstFraction:
         assert as_exact(Dyadic([(-5, 3)])) == Fraction(3, 32)
         assert isinstance(as_exact(Dyadic([(-5, 3)])), Fraction)
         assert isinstance(as_exact(Dyadic.pow2(-10 ** 8)), Dyadic)
+
+
+# Exponents near 0 and 48 000 bits below, as in a kicked d = 5 set.
+gap_terms = st.lists(st.tuples(
+    st.one_of(st.integers(-40, 40), st.integers(-48_040, -47_960)),
+    st.integers(-2 ** 70, 2 ** 70)), max_size=5)
+odd = st.integers(0, 2 ** 20).map(lambda k: 2 * k + 1)
+dens = st.one_of(st.just(1), odd, st.builds(lambda o, k: o << k, odd,
+                                             st.integers(1, 60)))
+
+
+class TestLowestTerms:
+    """Dyadic.over and to_fraction reduce without a gcd of long numbers;
+    Fraction(n, d)'s own gcd is the reference."""
+
+    @given(gap_terms, dens, st.integers(-48_000, 40), st.integers(-50, 50))
+    @example([], 1, 0, 0)
+    @example([(0, 1), (-1, -2)], 4, 0, 0)
+    @example([(0, 1), (-1, -2)], 1, 0, 0)
+    @settings(max_examples=200, deadline=None)
+    def test_over_and_to_fraction_match_fraction(self, terms, den, e0, c0):
+        # (e0 + 1, c0) and (e0, -2 c0) cancel across exponents.
+        x = Dyadic(terms + [(e0 + 1, c0), (e0, -2 * c0)])
+        low = min([0] + [e for e, _ in x.terms])
+        n = sum(c << (e - low) for e, c in x.terms)
+        for got, want in ((x.over(den), Fraction(n, den << -low)),
+                          (x.to_fraction(), Fraction(n, 1 << -low))):
+            assert type(got) is Fraction
+            assert got.numerator == want.numerator
+            assert got.denominator == want.denominator
+            assert hash(got) == hash(want)
+
+    def test_fraction_copies_a_rationals_terms(self):
+        # over relies on this CPython behaviour: Fraction(r) takes a
+        # numbers.Rational's numerator and denominator as they are.
+        f = Fraction(_Reduced(6, 4))
+        assert (f.numerator, f.denominator) == (6, 4)
 
 
 def exact_value(terms):

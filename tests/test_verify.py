@@ -10,7 +10,7 @@ from acuta import (ConstructionConfig, PointSet, apex_point,
                    legacy_bounds, set_margin, target_size,
                    verify_acute, verify_antipodal_witness,
                    verify_cardinality_bounds, verify_nonobtuse)
-from acuta.geometry import FloatGram, kernel
+from acuta.geometry import ExactGram, FloatGram, kernel
 from tests.conftest import (naive_first_failure, naive_slab,
                             random_rational_set)
 
@@ -276,6 +276,29 @@ class TestVerdictMode:
             assert rep.verdict and check(ps).verdict
             assert rep.margin is None and rep.witness is None
             assert rep.triples_checked == 9 * 8 * 7 // 6
+
+    def test_one_set_converts_its_minimum_once(self, monkeypatch):
+        built, _, _ = construct_full(ConstructionConfig(dim=5))
+        ps = PointSet(dim=5, points=built.points, backend="rational")
+        calls = []
+        value = ExactGram.value
+
+        def spy(gram, raw):
+            calls.append(raw)
+            return value(gram, raw)
+
+        monkeypatch.setattr(ExactGram, "value", spy)
+        margin = verify_acute(ps)
+        verdict = verify_acute(ps, mode="verdict")
+        slab = verify_antipodal_witness(ps)
+        got, witness = set_margin(ps)
+        raw = kernel(ps).minimum()[0]
+        assert sum(r is raw for r in calls) == 1
+        assert len(calls) == 2          # the minimum and the diameter
+        assert verdict.verdict
+        assert verdict.margin is None and verdict.witness is None
+        assert margin.margin is slab.margin is got
+        assert witness == margin.witness
 
 
 class TestTranslation:
