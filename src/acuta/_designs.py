@@ -64,10 +64,10 @@ DESIGN_MARGINS: Dict[int, Fraction] = {
 # 7, 7 for d = 5..10, each certified exactly by construct_full.
 LADDER_MAX_DIM: int = 10
 # CPU time of construct_full(ConstructionConfig(dim=LADDER_MAX_DIM)) --
-# build, guard and the exact margin scan over its 67 108 608 apex dots --
-# median of 3 runs in fresh processes (5.75, 5.91, 5.96 s) on a 2-core
-# Intel Xeon under CPython 3.11.
-LADDER_MAX_DIM_SECONDS: float = 5.91
+# build, guard and the exact margin scan, which covers its 67 108 608 apex
+# dots from one apex of each mirror orbit -- median of 3 runs in fresh
+# processes (3.00, 3.22, 3.39 s) on a 2-core Intel Xeon under CPython 3.11.
+LADDER_MAX_DIM_SECONDS: float = 3.22
 
 
 def ladder_k1(d: int) -> int:

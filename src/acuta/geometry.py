@@ -154,12 +154,16 @@ class _Kernel:
     def minimum(self):
         """``min_dots(range(n))``, the smallest raw apex dot of the set with
         every ``(q, i, j)`` attaining it as a tuple: scanned once per
-        kernel and kept, so that every check of a shared kernel
-        (:func:`kernel`) reads the same minimum."""
+        kernel (by :meth:`_scan`) and kept, so that every check of a shared
+        kernel (:func:`kernel`) reads the same minimum."""
         if self._minimum is None:
-            raw, args = self.min_dots(range(self.n))
+            raw, args = self._scan()
             self._minimum = (raw, tuple(args))
         return self._minimum
+
+    def _scan(self):
+        """The apex minimum, scanned at every apex."""
+        return self.min_dots(range(self.n))
 
     def margin(self) -> RawScalar:
         """The true value of the :meth:`minimum`'s raw dot: converted once
@@ -411,9 +415,23 @@ class ExactGram(_Kernel):
     dots that reach the least upper bound of all. What the exact test sees
     is a subset of what it saw before, in the same order, so every result
     is unchanged.
+
+    **Mirror scan.** The reflection R(x) = (1 - x_1, ..., 1 - x_(d-1), x_d)
+    maps every ladder set onto itself: a cube vertex to its antipode, which
+    has the same scale, and the apex to itself. :meth:`minimum` derives the
+    permutation sigma with p_sigma(i) = R(p_i) from the points themselves
+    and checks it exactly (:meth:`_mirror`); the builder is not trusted. R
+    is an isometry, so the dot at (q; i, j) equals the dot at
+    (sigma(q); sigma(i), sigma(j)), and the scan runs over one apex of each
+    orbit {q, sigma(q)}, the smaller, then adds the images of the minimal
+    angles it found. The lex-first minimal angle has the smaller apex of
+    its orbit, since its image is minimal too, so the scan meets it first
+    and keeps the same raw minimum, term for term, as a scan of every apex.
+    A set that R does not map onto itself is scanned at every apex.
     """
 
     def __init__(self, points: Sequence[Point]):
+        self.points = points
         n = self.n = len(points)
         if any(isinstance(x, Dyadic) for p in points for x in p):
             try:
@@ -655,6 +673,41 @@ class ExactGram(_Kernel):
         lo[rows] = _keys(2 * v - 1, top - 1, bits)
         hi[rows] = _keys(2 * v + 1, top - 1, bits)
         return lo, hi, sure
+
+    def _mirror(self) -> Optional[list]:
+        """The permutation sigma with p_sigma(i) = R(p_i) for every point,
+        as a list, or None if some point has no image in the set. Only
+        points at the same height can pair, and each pair is checked in
+        exact arithmetic: x + y == 1 on the first d - 1 coordinates."""
+        pts = self.points
+        height: dict = {}
+        for i, p in enumerate(pts):
+            height.setdefault(p[-1], []).append(i)
+        sigma = [None] * self.n
+        for level in height.values():
+            for i in level:
+                if sigma[i] is not None:
+                    continue
+                p = pts[i][:-1]
+                for j in level:
+                    if sigma[j] is None and all(
+                            x + y == 1 for x, y in zip(p, pts[j])):
+                        sigma[i], sigma[j] = j, i
+                        break
+                else:
+                    return None
+        return sigma
+
+    def _scan(self):
+        """The apex minimum over one apex per mirror orbit, with the
+        images of its minimal angles added (see the class docstring)."""
+        sigma = self._mirror()
+        if sigma is None:
+            return super()._scan()
+        raw, args = self.min_dots([q for q in range(self.n) if q <= sigma[q]])
+        images = {(sigma[q], *sorted((sigma[i], sigma[j])))
+                  for q, i, j in args}
+        return raw, sorted(images.union(args))
 
     def first_failure(self, fails):
         """As :meth:`_Kernel.first_failure`, for a ``fails`` that depends

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from acuta import (Dyadic, GeometryError, PointSet, TripleWitness,
@@ -852,3 +852,99 @@ class TestKernelSlot:
         gram.max_sqdist()
         after = (gram.heads, gram.tails, gram.leads.words, gram.leads.ok)
         assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+
+def _reflect(p):
+    """R(p) = (1 - p_1, ..., 1 - p_(d-1), p_d)."""
+    return tuple(1 - x for x in p[:-1]) + tuple(p[-1:])
+
+
+# Coordinates on a coarse grid, so that many dots tie; 1/2 makes points on
+# the axis of R, which the mirror permutation fixes.
+_grid = st.sampled_from([F(0), F(1), F(1, 2), F(1, 4), F(3, 4), F(1, 3),
+                         F(-2, 3), F(5, 7)])
+
+
+@st.composite
+def _mirrored_sets(draw):
+    """A shuffled rational set closed under R, at least 3 points, some of
+    them on the axis when drawn so."""
+    dim = draw(st.integers(2, 4))
+    pts = set()
+    for p in draw(st.lists(st.tuples(*[_grid] * dim), min_size=1,
+                           max_size=5)):
+        pts.update((p, _reflect(p)))
+    pts.update((F(1, 2),) * (dim - 1) + (h,)
+               for h in draw(st.lists(_grid, max_size=2)))
+    assume(len(pts) >= 3)
+    return draw(st.permutations(sorted(pts)))
+
+
+class TestMirrorScan:
+    """``ExactGram.minimum`` scans one apex per orbit of R when R maps the
+    set onto itself. Its minimum must be the one a scan of every apex
+    keeps, term for term, with the same lex-ordered angles, and equal the
+    naive loops; a set that R does not quite map onto itself is scanned at
+    every apex."""
+
+    @staticmethod
+    def scanned(points):
+        """The kept minimum of a new kernel of ``points``, and the apex list
+        that its ``min_dots`` got."""
+        gram = ExactGram(points)
+        seen = []
+
+        def spy(apexes):
+            seen.append(list(apexes))
+            return ExactGram.min_dots(gram, seen[-1])
+        gram.min_dots = spy
+        return gram.minimum(), seen[0]
+
+    @classmethod
+    def check(cls, points, oracle=None):
+        """``minimum()`` against ``min_dots(range(n))`` on a second kernel
+        and, given an ``oracle`` copy of the values, against the naive
+        loops; returns the number of apexes scanned."""
+        (raw, args), apexes = cls.scanned(points)
+        gram = ExactGram(points)
+        full, every = gram.min_dots(range(len(points)))
+        assert raw.terms == full.terms and args == tuple(every)
+        if oracle is not None:
+            assert (gram.value(raw), every) == naive_minima(oracle)
+        return len(apexes)
+
+    @pytest.mark.parametrize("dim", [5, 6])
+    def test_ladder_sets(self, dim):
+        pts = construct_full(ConstructionConfig(dim=dim))[0].points
+        oracle = [[Dyadic.of(x) for x in p] for p in pts]
+        assert self.check(pts, oracle) == len(pts) // 2 + 1
+
+    def test_d6_scans_17_apexes_and_its_kicked_copy_33(self):
+        pts = list(construct_full(ConstructionConfig(dim=6))[0].points)
+        assert len(self.scanned(pts)[1]) == 17
+        pts[3] = (pts[3][0] + Dyadic.pow2(-40),) + pts[3][1:]
+        assert len(self.scanned(pts)[1]) == 33
+
+    @given(_mirrored_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_sets_closed_under_the_reflection(self, pts):
+        fixed = sum(_reflect(p) == p for p in pts)
+        assert self.check(pts, pts) == (len(pts) + fixed) // 2
+
+    @staticmethod
+    def _d5():
+        pts = construct_full(ConstructionConfig(dim=5))[0].points
+        return [list(p) for p in pts]
+
+    @pytest.mark.parametrize("k", [1, 30, 12000])
+    def test_one_coordinate_off_takes_the_full_scan(self, k):
+        pts = self._d5()
+        pts[2][1] += F(1, 2 ** k)
+        assert self.check(pts) == len(pts)
+
+    @pytest.mark.parametrize("k", [1, 30, 12000])
+    def test_partners_at_different_heights_take_the_full_scan(self, k):
+        pts = self._d5()
+        assert _reflect(pts[0]) == tuple(pts[-2])
+        pts[-2][-1] += F(1, 2 ** k)
+        assert self.check(pts) == len(pts)
