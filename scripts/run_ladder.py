@@ -21,8 +21,8 @@ ladder table gives the measured build and certify times):
 From d = 6 on the coordinates are sparse dyadic sums (a dense Fraction of
 2^-78918988 would need 10**8 bits); ``--out`` writes them in the file
 format's binary form, which ``acuta verify`` reads back.
-d = 11 and above are refused: the exact scan needs 536 870 400 apex dots
-at d = 11.
+d = 11 and above are refused: at d = 11 the exact certificate covers
+536 870 400 apex dots, about half of them computed.
 """
 import argparse
 import time

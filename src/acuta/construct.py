@@ -21,11 +21,11 @@ d = 10. float64 stops near 2**-1074, so it fails from d = 5 on. A dense
 Fraction would need 10**8 bits at d = 6, but every ladder coordinate is a
 short sum of terms c * 2**e, so the sparse form certifies d = 6 to 10
 exactly (the README's ladder table gives the measured times). What stops
-the ladder there is the size of the scan, not the numbers: 2**(d-1)+1
-points need n * C(n-1, 2) apex dots, 67 108 608 at d = 10 and 536 870 400
-at d = 11. A refusal prints each figure in full while it is below
-10**15 and beyond as an exact expression in d, such as ``2**(d-1) + 1``
-points, so no figure of any d is rounded or overflows.
+the ladder there is the size of the scan, not the numbers: the certificate
+of 2**(d-1)+1 points covers n * C(n-1, 2) apex dots (67 108 608 at d = 10,
+536 870 400 at d = 11), about half of them computed. A refusal prints each
+figure in full below 10**15 and beyond as an exact expression in d, such
+as ``2**(d-1) + 1`` points, so no figure of any d is rounded or overflows.
 """
 from __future__ import annotations
 
@@ -183,11 +183,17 @@ def perturb_vertex(v: Point, s: RawScalar) -> Point:
     mu = d - 1
     if not s > 0:
         raise GeometryError(f"step scale must be positive, got {s}")
-    a, b = mu * s * s, mu * s
+    a, one_minus_a, b = _coupled_step(mu, s)
     if not a < 1:
         raise GeometryError(f"step too large: (d-1)*s^2 = {a} >= 1")
-    coords = tuple(a if v[j] == 0 else 1 - a for j in range(mu))
+    coords = tuple(a if v[j] == 0 else one_minus_a for j in range(mu))
     return coords + (b,)
+
+
+def _coupled_step(mu: int, s: RawScalar) -> Tuple[RawScalar, ...]:
+    """The coupled step of scale s as (a, 1 - a, b): a = mu s^2, b = mu s."""
+    a = mu * s * s
+    return a, 1 - a, mu * s
 
 
 @dataclass(frozen=True)
@@ -370,7 +376,7 @@ def construct_acute_cube(cfg: ConstructionConfig) -> Tuple[PointSet, Constructio
 
 
 def _apex_dots(d: int) -> int:
-    """Apex inner products in an exact margin scan of 2**(d-1)+1 points."""
+    """Apex dots that the margin certificate of 2**(d-1)+1 points covers."""
     n = 2 ** (d - 1) + 1
     return n * (n - 1) * (n - 2) // 2
 
@@ -394,10 +400,11 @@ def _ladder_refusal(d: int) -> ConstructionError:
         took = f"{secs:.1f} s * 8**{d - top}"
     return ConstructionError(
         f"construction at d = {d} is beyond the ladder's limit "
-        f"d = {top}: certifying its {points} points takes "
-        f"{dots} exact apex dots and its deepest ladder scale is "
-        f"2**-{_deepest_exponent(d)}; d = {top} checks {dots_top:,} dots "
-        f"in {secs:.1f} s, so d = {d} would take about {took}")
+        f"d = {top}: the certificate of its {points} points covers "
+        f"{dots} exact apex dots, about half of them computed, and its "
+        f"deepest ladder scale is 2**-{_deepest_exponent(d)}; d = {top} "
+        f"covers {dots_top:,} dots in {secs:.1f} s, so d = {d} would take "
+        f"about {took}")
 
 
 def _deepest_exponent(d: int) -> str:
@@ -413,34 +420,35 @@ def _ladder(cfg: ConstructionConfig) -> Tuple[PointSet, ConstructionTrace]:
     """Exact construction for d >= 5: one dyadic scale per antipodal class.
 
     Vertices of the (d-1)-cube come in 2**(d-2) antipodal pairs. Pair number
-    ell (pairs sorted by their lexicographically smaller member) is displaced
-    with scale 2**-k_ell from :func:`_designs.ladder_ks`. A pair sharing one
-    scale keeps its own slab condition exact, and the cubic growth of k
-    makes every deeper level's fourth-order repair surplus dominate the
-    damage all shallower levels can inflict on it. The scales are sparse
-    :class:`Dyadic` values: at d = 6 the deepest is 2**-(about 10**8).
+    ell (pairs sorted by their lexicographically smaller member, vertex ell)
+    is displaced with scale 2**-k_ell from :func:`_designs.ladder_ks`. A pair
+    sharing one scale keeps its own slab condition exact, and the cubic
+    growth of k makes every deeper level's fourth-order repair surplus
+    dominate the damage all shallower levels can inflict on it. The scales
+    are sparse :class:`Dyadic` values: at d = 6 the deepest is 2**-(about
+    10**8). A class's a, 1 - a, b, s and eps are built once, in the form
+    :class:`PointSet` keeps, and shared by its vertices and trace steps.
     """
     d = cfg.dim
     mu = d - 1
-    verts = list(itertools.product((0, 1), repeat=mu))
-    reps = sorted({min(v, tuple(1 - x for x in v)) for v in verts})
-    ks = _designs.ladder_ks(d)
-    k_of_class = {}
-    for k, rep in zip(ks, reps):
-        k_of_class[rep] = k_of_class[tuple(1 - x for x in rep)] = k
-    k_of = [k_of_class[v] for v in verts]
-
-    scales = [Dyadic.pow2(-k) for k in k_of]
-    originals = hypercube_vertices(d, RATIONAL).points
-    moved = tuple(perturb_vertex(o, s) for o, s in zip(originals, scales))
+    top = 2 ** mu - 1           # vertex top - i is the antipode of vertex i
+    scales = [Dyadic.pow2(-k) for k in _designs.ladder_ks(d)]
+    moves = [_coupled_step(mu, s) for s in scales]
+    # PointSet's rule: Fractions unless some value is too large for one.
+    if all(x.fits_fraction() for m in moves for x in m):
+        moves = [tuple(x.to_fraction() for x in m) for m in moves]
+    moved = []
+    for i, v in enumerate(itertools.product((0, 1), repeat=mu)):
+        a, one_minus_a, b = moves[min(i, top - i)]
+        moved.append(tuple(one_minus_a if x else a for x in v) + (b,))
     # A vertex moves by sqrt(mu^2 s^2 + mu^3 s^4) = mu s sqrt(1 + mu s^2),
     # which the dyadic mu s + mu^2 s^3 bounds from above.
     steps = []
-    for i in sorted(range(len(verts)), key=lambda i: (k_of[i], i)):
-        s = scales[i]
-        steps.append(TraceStep(index=i, eps=mu * s + mu * mu * s * s * s, s=s))
+    for ell, s in enumerate(scales):
+        eps = mu * s + mu * mu * s * s * s
+        steps += [TraceStep(i, eps, s) for i in (ell, top - ell)]
     trace = ConstructionTrace(d, RATIONAL, tuple(steps))
-    return PointSet(dim=d, points=moved, backend=RATIONAL), trace
+    return PointSet(dim=d, points=tuple(moved), backend=RATIONAL), trace
 
 
 def triangle_has_nonacute(a: Point, b: Point, c: Point) -> bool:

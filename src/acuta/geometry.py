@@ -226,6 +226,7 @@ _ROW_MASS_BITS = 31
 # Coefficient products the build forms at a time: 256 kB per int64 array,
 # which keeps the d = 8 build's peak (tracemalloc) near 4 MB.
 _BLOCK = 1 << 15
+_ONE = Dyadic.pow2(0)
 
 
 class _Leads(NamedTuple):
@@ -298,6 +299,15 @@ def _runs_sum(x: np.ndarray, start: np.ndarray) -> np.ndarray:
     run = np.zeros(x.size + 1, np.uint64)
     np.cumsum(x.view(np.uint64), out=run[1:])
     return (run[start[1:]] - run[start[:-1]]).view(np.int64)
+
+
+def _sum_is_one(x, y) -> bool:
+    """x + y == 1 without a long sum (Fractions are in lowest terms)."""
+    if isinstance(x, Dyadic) and isinstance(y, Dyadic):
+        return dyadic_diff_sign(_ONE, x, y) == 0
+    if isinstance(x, Fraction) and isinstance(y, Fraction):
+        return x.denominator == y.denominator == x.numerator + y.numerator
+    return x + y == 1
 
 
 class _Entries:
@@ -691,7 +701,7 @@ class ExactGram(_Kernel):
                 p = pts[i][:-1]
                 for j in level:
                     if sigma[j] is None and all(
-                            x + y == 1 for x, y in zip(p, pts[j])):
+                            _sum_is_one(x, y) for x, y in zip(p, pts[j])):
                         sigma[i], sigma[j] = j, i
                         break
                 else:

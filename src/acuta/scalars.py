@@ -117,7 +117,7 @@ class Dyadic:
     value fits :data:`FRACTION_BITS`; comparisons never need that fallback.
     """
 
-    __slots__ = ("terms", "mass")
+    __slots__ = ("terms", "mass", "_hash")
 
     def __init__(self, terms=()):
         acc: dict = {}
@@ -128,6 +128,7 @@ class Dyadic:
     def _set(self, terms: tuple) -> None:
         self.terms = terms              # (e, c), e descending, c != 0
         self.mass = sum(abs(c) for _, c in terms)
+        self._hash = None               # computed on first use
 
     @classmethod
     def _of_acc(cls, acc: dict) -> "Dyadic":
@@ -263,6 +264,10 @@ class Dyadic:
 
     def _cmp(self, other):
         """sign(self - other), or None for a type that cannot be compared."""
+        if other is self:
+            return 0
+        if isinstance(other, int) and other == 0:
+            return self.sign()
         o = _as_dyadic(other)
         if o is not None:
             return self._combine(o, -1).sign()
@@ -299,11 +304,13 @@ class Dyadic:
     def __hash__(self) -> int:
         # Python hashes a rational x as |x| mod P, negated for x < 0; P is
         # a Mersenne prime, so 2**e reduces to 2**(e mod k) for any e.
-        r = sum(c * pow(2, e % _HASH_K, _HASH_P)
-                for e, c in self.terms) % _HASH_P
-        if self.sign() < 0:
-            r = -((-r) % _HASH_P)
-        return -2 if r == -1 else r
+        if self._hash is None:
+            r = sum(c * pow(2, e % _HASH_K, _HASH_P)
+                    for e, c in self.terms) % _HASH_P
+            if self.sign() < 0:
+                r = -((-r) % _HASH_P)
+            self._hash = -2 if r == -1 else r
+        return self._hash
 
     def __repr__(self) -> str:
         body = " + ".join(f"{c}*2**{e}" for e, c in self.terms) or "0"
@@ -349,7 +356,7 @@ def as_exact(x) -> Union[Fraction, Dyadic]:
     """
     if isinstance(x, Dyadic):
         return x.to_fraction() if x.fits_fraction() else x
-    return Fraction(x)
+    return x if type(x) is Fraction else Fraction(x)
 
 
 RawScalar = Union[Fraction, Dyadic, float]

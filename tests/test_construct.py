@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acuta import (ConstructionConfig, ConstructionError, ConstructionTrace,
-                   GeometryError, PointSet, TraceStep, apex_point, dot_at_apex,
-                   construct_acute_cube, construct_full, hypercube_vertices,
-                   lemma_check, perturb_vertex, random_baseline, safe_radius,
-                   set_margin, squared_diameter, verify_acute,
-                   verify_nonobtuse)
+                   Dyadic, GeometryError, PointSet, TraceStep, apex_point,
+                   dot_at_apex, construct_acute_cube, construct_full,
+                   hypercube_vertices, lemma_check, perturb_vertex,
+                   random_baseline, safe_radius, set_margin,
+                   squared_diameter, verify_acute, verify_nonobtuse)
 from acuta._designs import (DESIGN_MARGINS, LADDER_MAX_DIM,
                             LADDER_MAX_DIM_SECONDS, ladder_ks)
 from acuta.cli import EXIT_CONSTRUCTION, main
@@ -372,9 +372,10 @@ class TestAdaptive:
             construct_acute_cube(ConstructionConfig(dim=d))
         m = re.fullmatch(
             rf"construction at d = {d} is beyond the ladder's limit "
-            rf"d = {LADDER_MAX_DIM}: certifying its (.+) points takes (.+) "
-            r"exact apex dots and its deepest ladder scale is 2\*\*-\(.+\); "
-            r"d = \d+ checks ([\d,]+) dots in ([\d.]+) s, "
+            rf"d = {LADDER_MAX_DIM}: the certificate of its (.+) points covers "
+            r"(.+) exact apex dots, about half of them computed, and its "
+            r"deepest ladder scale is 2\*\*-\(.+\); "
+            r"d = \d+ covers ([\d,]+) dots in ([\d.]+) s, "
             rf"so d = {d} would take about (.+) s(?: \* (8\*\*\d+))?",
             str(exc.value))
         assert m, str(exc.value)
@@ -429,6 +430,65 @@ class TestAdaptive:
         with pytest.raises(ConstructionError,
                            match=rf"guard failed: \|x_0 - x_1\|\^2 = {shown} "):
             construct_full(cfg)
+
+
+class TestLadderBuild:
+    """The ladder builds each antipodal class's values once. Its points and
+    trace must equal a per-vertex build through perturb_vertex and the
+    eps formula mu s + mu^2 s^3, term for term, with the classes found as
+    first frozen (pairs sorted by their lexicographically smaller member)."""
+
+    @staticmethod
+    def exact(x):
+        if isinstance(x, Dyadic):
+            return "dyadic", x.terms
+        assert type(x) is Fraction
+        return "fraction", x.numerator, x.denominator
+
+    @staticmethod
+    def per_vertex(d):
+        originals = hypercube_vertices(d).points
+        flip = lambda v: tuple(1 - x for x in v[:-1]) + (0,)
+        reps = sorted({min(v, flip(v)) for v in originals})
+        k_of = {}
+        for k, rep in zip(ladder_ks(d), reps):
+            k_of[rep] = k_of[flip(rep)] = k
+        ks = [k_of[v] for v in originals]
+        pts = tuple(perturb_vertex(v, Dyadic.pow2(-k))
+                    for v, k in zip(originals, ks))
+        mu = d - 1
+        steps = []
+        for i in sorted(range(len(ks)), key=lambda i: (ks[i], i)):
+            s = Dyadic.pow2(-ks[i])
+            steps.append((i, mu * s + mu * mu * s * s * s, s))
+        return PointSet(dim=d, points=pts, backend="rational"), steps
+
+    @pytest.mark.parametrize("d", [5, 6, 7, 8])
+    def test_equals_a_per_vertex_build(self, d):
+        cube, trace = construct_acute_cube(ConstructionConfig(dim=d))
+        want, steps = self.per_vertex(d)
+        ex = self.exact
+        assert [[ex(x) for x in p] for p in cube.points] == \
+            [[ex(x) for x in p] for p in want.points]
+        assert [(st.index, ex(st.eps), ex(st.s)) for st in trace.steps] == \
+            [(i, ex(eps), ex(s)) for i, eps, s in steps]
+        # Fractions at d = 5; from d = 6 on every value stays sparse.
+        form = Fraction if d == 5 else Dyadic
+        assert all(type(x) is form for p in cube.points for x in p)
+
+    @pytest.mark.parametrize("d", [5, 6, 7, 8])
+    def test_a_class_shares_its_values(self, d):
+        cube, trace = construct_acute_cube(ConstructionConfig(dim=d))
+        pts, top = cube.points, len(cube) - 1
+        for ell in range(len(pts) // 2):
+            p, q = pts[ell], pts[top - ell]
+            # a, 1 - a and b: three objects between the two vertices
+            assert len({id(x) for x in p + q}) == 3
+            assert p[-1] is q[-1]
+            assert all(x is not y for x, y in zip(p[:-1], q[:-1]))
+        for one, two in zip(trace.steps[::2], trace.steps[1::2]):
+            assert one.index + two.index == top
+            assert one.eps is two.eps and one.s is two.s
 
 
 class TestBaseline:

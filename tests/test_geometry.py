@@ -948,3 +948,59 @@ class TestMirrorScan:
         assert _reflect(pts[0]) == tuple(pts[-2])
         pts[-2][-1] += F(1, 2 ** k)
         assert self.check(pts) == len(pts)
+
+    # _mirror's x + y == 1 takes integers for two Fractions and one merge
+    # for two Dyadics; near-misses of each kind must still find no sigma.
+    @staticmethod
+    def _pairs(x, y):
+        """Five points in R^3: a pair that R swaps, a point that R fixes,
+        and a pair at height 1 whose first coordinates are x and y."""
+        half = F(1, 2)
+        return [(F(0), F(1, 4), F(0)), (F(1), F(3, 4), F(0)),
+                (half, half, F(3)), (x, F(1, 3), F(1)), (y, F(2, 3), F(1))]
+
+    @pytest.mark.parametrize("x, y", [
+        (F(1, 5), F(2, 5)),             # equal denominators, sum 3/5
+        (F(2, 7), F(4, 7)),
+        (F(1, 4), F(3, 8)),             # numerators sum to x's denominator
+        (F(3, 8), F(1, 4)),
+        (F(1, 3), F(1, 2)),
+    ])
+    def test_fraction_pairs_that_miss_one_take_the_full_scan(self, x, y):
+        pts = self._pairs(x, y)
+        assert ExactGram(pts)._mirror() is None
+        assert self.check(pts, pts) == len(pts)
+
+    def test_fraction_pairs_that_sum_to_one_pair(self):
+        pts = self._pairs(F(2, 7), F(5, 7))
+        assert ExactGram(pts)._mirror() == [1, 0, 2, 4, 3]
+        assert self.check(pts, pts) == 3
+
+    def test_sparse_set_mixing_dyadic_and_fraction(self):
+        # Values too large for a Fraction beside Fractions, such as the
+        # apex's 1/2; a partner may hold the other type, or 1/2 in terms
+        # that are not a single power of two.
+        tiny = Dyadic.pow2(-100_000)
+        one = Dyadic.pow2(0)
+        pts = [(tiny, F(1, 4), F(0)), (one - tiny, F(3, 4), F(0)),
+               (F(1, 2), Dyadic([(0, 1), (-1, -1)]), F(3)),
+               (F(1, 8), one - tiny, tiny),
+               (Dyadic([(-2, 3), (-3, 1)]), tiny, tiny)]
+        assert ExactGram(pts)._mirror() == [1, 0, 2, 4, 3]
+        oracle = [[Dyadic.of(x) for x in p] for p in pts]
+        assert self.check(pts, oracle) == 3
+        pts[4] = (Dyadic([(-2, 3), (-3, 1), (-100_000, 1)]), tiny, tiny)
+        assert ExactGram(pts)._mirror() is None
+        oracle = [[Dyadic.of(x) for x in p] for p in pts]
+        assert self.check(pts, oracle) == len(pts)
+
+    @pytest.mark.parametrize("idx", [0, 16])
+    def test_kicked_d5_set_takes_the_full_scan(self, idx):
+        # A d = 5 set with one point moved within its safe radius, as the
+        # benchmark's kicked sets are: no sigma, so every apex is scanned.
+        ps, _, report = construct_full(ConstructionConfig(dim=5))
+        step = safe_radius(ps, report.margin) / 17
+        pts = self._d5()
+        pts[idx] = [x + c * step for x, c in zip(pts[idx], (3, -5, 7, 1, 1))]
+        assert ExactGram(pts)._mirror() is None
+        assert self.check(pts) == len(pts)

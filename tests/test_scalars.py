@@ -127,6 +127,53 @@ class TestLowestTerms:
         assert (f.numerator, f.denominator) == (6, 4)
 
 
+class TestHashAndShortcuts:
+    """A Dyadic caches its hash, and compares with itself and with the int
+    0 without a merge; neither may change an answer."""
+
+    @given(st.one_of(dyadic_terms, gap_terms))
+    @settings(max_examples=200, deadline=None)
+    def test_cached_hash_is_the_fractions(self, terms):
+        x = Dyadic(terms)
+        first = hash(x)
+        assert first == hash(x.to_fraction())
+        assert hash(x) == hash(x) == first
+        assert hash(-x) == hash(-x.to_fraction())
+
+    @given(st.one_of(dyadic_terms, gap_terms), st.integers(1, 70),
+           st.integers(-48_040, 40), st.integers(-50, 50))
+    @example([], 1, 0, 1)
+    @settings(max_examples=200, deadline=None)
+    def test_equal_values_in_other_terms_hash_alike(self, terms, k, e0, c0):
+        # c * 2**e as (c << k) * 2**(e - k), and a pair of terms that
+        # cancels across exponents: the same value in other terms.
+        x = Dyadic(terms)
+        y = Dyadic([(e - k, c << k) for e, c in terms]
+                   + [(e0 + 1, c0), (e0, -2 * c0)])
+        assert x == y and hash(x) == hash(y)
+        assert -x == -y and hash(-x) == hash(-y) == hash(-x.to_fraction())
+
+    def test_one_in_other_terms(self):
+        for x in (Dyadic([(-1, 2)]), Dyadic([(1, 1), (0, -1)])):
+            assert x == 1 and hash(x) == hash(1) == hash(Fraction(1))
+            assert hash(-x) == hash(-1) == hash(Fraction(-1))
+
+    @given(st.one_of(dyadic_terms, gap_terms))
+    @settings(max_examples=200, deadline=None)
+    def test_self_and_zero_compare_by_sign(self, terms):
+        x = Dyadic(terms)
+        s = x.sign()
+        assert x == x and x <= x and x >= x
+        assert not (x != x or x < x or x > x)
+        assert (x < 0, x == 0, x > 0) == (s < 0, s == 0, s > 0)
+        assert (x <= 0, x >= 0, x != 0) == (s <= 0, s >= 0, s != 0)
+        assert (0 < x, 0 == x, 0 > x) == (s > 0, s == 0, s < 0)
+        # The same answers through a merge: a zero Dyadic, and a copy.
+        assert (x < Dyadic(), x == Dyadic(), x > Dyadic()) == (
+            s < 0, s == 0, s > 0)
+        assert x == Dyadic(x.terms) and not x < Dyadic(x.terms)
+
+
 def exact_value(terms):
     return sum((c * Fraction(2) ** e for e, c in terms), Fraction(0))
 
