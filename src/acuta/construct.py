@@ -92,11 +92,7 @@ class ConstructionConfig:
             raise ValueError(f"dim of {self.dim.bit_length():,} bits has "
                              "too many digits to print")
 
-        c = Fraction(self.dim, 2) if self.apex_height is None \
-            else Fraction(self.apex_height)
-        if not 4 * c * c > self.dim - 1:
-            raise ValueError(
-                f"apex_height {c} violates c^2 > (d-1)/4 (boundary included)")
+        c = _apex_height(self.dim, self.apex_height)
         # Only the frozen designs build in float64 (see construct_acute_cube).
         if self.backend == FLOAT64 and _designs.has_design(self.dim):
             try:
@@ -238,7 +234,7 @@ def lemma_check(d: int, s) -> LemmaReport:
         raise ValueError(f"need d >= 2, got {d}")
     s = Fraction(s)
     mu = d - 1
-    a, b = mu * s * s, mu * s
+    a, _, b = _coupled_step(mu, s)
     if not (s > 0 and a < 1):
         raise ValueError(f"scale {s} out of range for d = {d}")
     residual = b * b - mu * a
@@ -302,6 +298,16 @@ def safe_radius(ps: PointSet, margin: RawScalar) -> RawScalar:
     return min(1.0, float(margin) / (2 * (2 * dhat + 1)))
 
 
+def _apex_height(d: int, c: Optional[RawScalar]) -> Fraction:
+    """The apex height c as a Fraction, d/2 by default; ValueError unless
+    c^2 > (d-1)/4 strictly."""
+    c = Fraction(d, 2) if c is None else Fraction(c)
+    if not 4 * c * c > d - 1:
+        raise ValueError(
+            f"apex height {c} violates c^2 > (d-1)/4 (boundary included)")
+    return c
+
+
 def apex_point(d: int, c: Optional[RawScalar] = None,
                backend: Backend = RATIONAL) -> Point:
     """The apex (1/2, ..., 1/2, c) over the cube center; default c = d/2.
@@ -311,12 +317,7 @@ def apex_point(d: int, c: Optional[RawScalar] = None,
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    cf = Fraction(d, 2) if c is None else Fraction(c)
-    if not 4 * cf * cf > d - 1:
-        raise ValueError(
-            f"apex height {cf} violates c^2 > (d-1)/4 (boundary included)")
-    half = Fraction(1, 2)
-    pt = tuple([half] * (d - 1) + [cf])
+    pt = (Fraction(1, 2),) * (d - 1) + (_apex_height(d, c),)
     if backend == RATIONAL:
         return pt
     return tuple(float(x) for x in pt)

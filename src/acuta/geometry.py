@@ -36,7 +36,10 @@ between differences from the apex.
 Consecutive scans of one :class:`PointSet` object share its kernel:
 :func:`kernel` keeps the last set's kernel, and at most that one outlives
 its call, until the set dies or another set is scanned. A kernel scans its
-apex minimum once (:meth:`_Kernel.minimum`) and keeps it.
+apex minimum once (:meth:`_Kernel.minimum`) and keeps it. An exact kernel
+finds, as it is built, the permutation of its points that the reflection
+R(x) = (1 - x_1, ..., 1 - x_(d-1), x_d) induces, if R maps the set onto
+itself, and then scans one apex of each orbit (see :class:`ExactGram`).
 """
 from __future__ import annotations
 
@@ -147,6 +150,7 @@ class _Kernel:
     """
 
     n: int
+    _sigma: Optional[list] = None
     _minimum = None
     _margin = None
     _sqdiam = None
@@ -154,16 +158,19 @@ class _Kernel:
     def minimum(self):
         """``min_dots(range(n))``, the smallest raw apex dot of the set with
         every ``(q, i, j)`` attaining it as a tuple: scanned once per
-        kernel (by :meth:`_scan`) and kept, so that every check of a shared
-        kernel (:func:`kernel`) reads the same minimum."""
+        kernel and kept, so that every check of a shared kernel
+        (:func:`kernel`) reads the same minimum. With a mirror permutation
+        ``_sigma`` (see :class:`ExactGram`) one apex of each orbit
+        {q, sigma(q)} is scanned and the images of the minimal angles are
+        added; without one, sigma is the identity, which adds nothing."""
         if self._minimum is None:
-            raw, args = self._scan()
-            self._minimum = (raw, tuple(args))
+            sigma = self._sigma or range(self.n)
+            raw, args = self.min_dots([q for q in range(self.n)
+                                       if q <= sigma[q]])
+            images = {(sigma[q], *sorted((sigma[i], sigma[j])))
+                      for q, i, j in args}
+            self._minimum = (raw, tuple(sorted(images.union(args))))
         return self._minimum
-
-    def _scan(self):
-        """The apex minimum, scanned at every apex."""
-        return self.min_dots(range(self.n))
 
     def margin(self) -> RawScalar:
         """The true value of the :meth:`minimum`'s raw dot: converted once
@@ -226,7 +233,6 @@ _ROW_MASS_BITS = 31
 # Coefficient products the build forms at a time: 256 kB per int64 array,
 # which keeps the d = 8 build's peak (tracemalloc) near 4 MB.
 _BLOCK = 1 << 15
-_ONE = Dyadic.pow2(0)
 
 
 class _Leads(NamedTuple):
@@ -301,13 +307,33 @@ def _runs_sum(x: np.ndarray, start: np.ndarray) -> np.ndarray:
     return (run[start[1:]] - run[start[:-1]]).view(np.int64)
 
 
-def _sum_is_one(x, y) -> bool:
-    """x + y == 1 without a long sum (Fractions are in lowest terms)."""
-    if isinstance(x, Dyadic) and isinstance(y, Dyadic):
-        return dyadic_diff_sign(_ONE, x, y) == 0
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x.denominator == y.denominator == x.numerator + y.numerator
-    return x + y == 1
+def _mirror(rows, m: Dyadic) -> Optional[list]:
+    """The permutation sigma with p_sigma(i) = R(p_i) for every point, as a
+    list, or None if some point has no image in the set. ``rows`` are the
+    coordinates times m, all Dyadic. Partners have equal heights, so the
+    heights are grouped by sign and binade and compared exactly only within
+    a group; a pair is checked with one merge per coordinate, x + y == m,
+    which is x + y == 1 in the original units."""
+    groups: dict = {}
+    for i, p in enumerate(rows):
+        s = p[-1].sign()
+        groups.setdefault((s, s and p[-1].floor_log2()), []).append(i)
+    sigma = [None] * len(rows)
+    for group in groups.values():
+        for k, i in enumerate(group):
+            if sigma[i] is not None:
+                continue
+            p = rows[i]
+            for j in group[k:]:
+                q = rows[j]
+                if sigma[j] is None and all(
+                        dyadic_diff_sign(m, x, y) == 0
+                        for x, y in zip(p[:-1], q)) and p[-1] == q[-1]:
+                    sigma[i], sigma[j] = j, i
+                    break
+            else:
+                return None
+    return sigma
 
 
 class _Entries:
@@ -428,20 +454,21 @@ class ExactGram(_Kernel):
 
     **Mirror scan.** The reflection R(x) = (1 - x_1, ..., 1 - x_(d-1), x_d)
     maps every ladder set onto itself: a cube vertex to its antipode, which
-    has the same scale, and the apex to itself. :meth:`minimum` derives the
-    permutation sigma with p_sigma(i) = R(p_i) from the points themselves
-    and checks it exactly (:meth:`_mirror`); the builder is not trusted. R
-    is an isometry, so the dot at (q; i, j) equals the dot at
-    (sigma(q); sigma(i), sigma(j)), and the scan runs over one apex of each
-    orbit {q, sigma(q)}, the smaller, then adds the images of the minimal
-    angles it found. The lex-first minimal angle has the smaller apex of
-    its orbit, since its image is minimal too, so the scan meets it first
-    and keeps the same raw minimum, term for term, as a scan of every apex.
-    A set that R does not map onto itself is scanned at every apex.
+    has the same scale, and the apex to itself. The build finds the
+    permutation sigma with p_sigma(i) = R(p_i) on the scaled rows and keeps
+    it as ``_sigma`` (:func:`_mirror`); the builder is not trusted. Heights
+    are grouped by sign and binade and compared exactly within a group, and
+    a pair is checked with one merge per coordinate. R is an isometry, so
+    the dot at (q; i, j) equals the dot at (sigma(q); sigma(i), sigma(j)),
+    and :meth:`minimum` scans one apex of each orbit {q, sigma(q)}, the
+    smaller, then adds the images of the minimal angles it found. The
+    lex-first minimal angle has the smaller apex of its orbit, since its
+    image is minimal too, so the scan meets it first and keeps the same raw
+    minimum, term for term, as a scan of every apex. A set that R does not
+    map onto itself has ``_sigma`` None and is scanned at every apex.
     """
 
     def __init__(self, points: Sequence[Point]):
-        self.points = points
         n = self.n = len(points)
         if any(isinstance(x, Dyadic) for p in points for x in p):
             try:
@@ -450,11 +477,12 @@ class ExactGram(_Kernel):
                 raise GeometryError(
                     "an exact set with values too large for Fraction must be "
                     f"all dyadic: {exc}") from exc
-            self._m2 = None
+            m, self._m2 = 1, None
         else:
             m = math.lcm(*{_odd(x.denominator) for p in points for x in p})
             rows = [[_digits(x, m) for x in p] for p in points]
             self._m2 = m * m
+        self._sigma = _mirror(rows, Dyadic.of(m))
         big = np.array([sum(x.mass for x in p) >> _ROW_MASS_BITS != 0
                         for p in rows], dtype=bool)
         tri_i, tri_j = np.tril_indices(n)
@@ -683,41 +711,6 @@ class ExactGram(_Kernel):
         lo[rows] = _keys(2 * v - 1, top - 1, bits)
         hi[rows] = _keys(2 * v + 1, top - 1, bits)
         return lo, hi, sure
-
-    def _mirror(self) -> Optional[list]:
-        """The permutation sigma with p_sigma(i) = R(p_i) for every point,
-        as a list, or None if some point has no image in the set. Only
-        points at the same height can pair, and each pair is checked in
-        exact arithmetic: x + y == 1 on the first d - 1 coordinates."""
-        pts = self.points
-        height: dict = {}
-        for i, p in enumerate(pts):
-            height.setdefault(p[-1], []).append(i)
-        sigma = [None] * self.n
-        for level in height.values():
-            for i in level:
-                if sigma[i] is not None:
-                    continue
-                p = pts[i][:-1]
-                for j in level:
-                    if sigma[j] is None and all(
-                            _sum_is_one(x, y) for x, y in zip(p, pts[j])):
-                        sigma[i], sigma[j] = j, i
-                        break
-                else:
-                    return None
-        return sigma
-
-    def _scan(self):
-        """The apex minimum over one apex per mirror orbit, with the
-        images of its minimal angles added (see the class docstring)."""
-        sigma = self._mirror()
-        if sigma is None:
-            return super()._scan()
-        raw, args = self.min_dots([q for q in range(self.n) if q <= sigma[q]])
-        images = {(sigma[q], *sorted((sigma[i], sigma[j])))
-                  for q, i, j in args}
-        return raw, sorted(images.union(args))
 
     def first_failure(self, fails):
         """As :meth:`_Kernel.first_failure`, for a ``fails`` that depends

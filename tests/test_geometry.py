@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 from acuta import (Dyadic, GeometryError, PointSet, TripleWitness,
                    dot_at_apex, set_margin, squared_diameter)
 from acuta import geometry
-from acuta.construct import (ConstructionConfig, construct_full,
+from acuta.construct import (ConstructionConfig, apex_point,
+                             construct_acute_cube, construct_full,
                              hypercube_vertices, perturb_vertex, safe_radius)
-from acuta.geometry import _LEAD_TERMS, ExactGram, _digits, _keys, kernel
+from acuta.geometry import (_LEAD_TERMS, ExactGram, FloatGram, _digits, _keys,
+                            kernel)
 from acuta.scalars import FRACTION_BITS
 from acuta.verify import (verify_acute, verify_antipodal_witness,
                           verify_nonobtuse)
@@ -888,15 +890,15 @@ class TestMirrorScan:
     every apex."""
 
     @staticmethod
-    def scanned(points):
-        """The kept minimum of a new kernel of ``points``, and the apex list
-        that its ``min_dots`` got."""
-        gram = ExactGram(points)
+    def scanned(points, kind=ExactGram):
+        """The kept minimum of a new ``kind`` kernel of ``points``, and the
+        apex list that its ``min_dots`` got."""
+        gram = kind(points)
         seen = []
 
         def spy(apexes):
             seen.append(list(apexes))
-            return ExactGram.min_dots(gram, seen[-1])
+            return kind.min_dots(gram, seen[-1])
         gram.min_dots = spy
         return gram.minimum(), seen[0]
 
@@ -949,8 +951,8 @@ class TestMirrorScan:
         pts[-2][-1] += F(1, 2 ** k)
         assert self.check(pts) == len(pts)
 
-    # _mirror's x + y == 1 takes integers for two Fractions and one merge
-    # for two Dyadics; near-misses of each kind must still find no sigma.
+    # sigma's x + y == 1 is one merge on the scaled rows, x + y == m;
+    # near-misses must still find no sigma.
     @staticmethod
     def _pairs(x, y):
         """Five points in R^3: a pair that R swaps, a point that R fixes,
@@ -968,12 +970,12 @@ class TestMirrorScan:
     ])
     def test_fraction_pairs_that_miss_one_take_the_full_scan(self, x, y):
         pts = self._pairs(x, y)
-        assert ExactGram(pts)._mirror() is None
+        assert ExactGram(pts)._sigma is None
         assert self.check(pts, pts) == len(pts)
 
     def test_fraction_pairs_that_sum_to_one_pair(self):
         pts = self._pairs(F(2, 7), F(5, 7))
-        assert ExactGram(pts)._mirror() == [1, 0, 2, 4, 3]
+        assert ExactGram(pts)._sigma == [1, 0, 2, 4, 3]
         assert self.check(pts, pts) == 3
 
     def test_sparse_set_mixing_dyadic_and_fraction(self):
@@ -986,11 +988,11 @@ class TestMirrorScan:
                (F(1, 2), Dyadic([(0, 1), (-1, -1)]), F(3)),
                (F(1, 8), one - tiny, tiny),
                (Dyadic([(-2, 3), (-3, 1)]), tiny, tiny)]
-        assert ExactGram(pts)._mirror() == [1, 0, 2, 4, 3]
+        assert ExactGram(pts)._sigma == [1, 0, 2, 4, 3]
         oracle = [[Dyadic.of(x) for x in p] for p in pts]
         assert self.check(pts, oracle) == 3
         pts[4] = (Dyadic([(-2, 3), (-3, 1), (-100_000, 1)]), tiny, tiny)
-        assert ExactGram(pts)._mirror() is None
+        assert ExactGram(pts)._sigma is None
         oracle = [[Dyadic.of(x) for x in p] for p in pts]
         assert self.check(pts, oracle) == len(pts)
 
@@ -1002,5 +1004,60 @@ class TestMirrorScan:
         step = safe_radius(ps, report.margin) / 17
         pts = self._d5()
         pts[idx] = [x + c * step for x, c in zip(pts[idx], (3, -5, 7, 1, 1))]
-        assert ExactGram(pts)._mirror() is None
+        assert ExactGram(pts)._sigma is None
         assert self.check(pts) == len(pts)
+
+    @pytest.mark.parametrize("dim", [8, 9])
+    def test_sigma_search_is_linear(self, dim, monkeypatch):
+        # Ladder heights fall in one binade per antipodal class, so each
+        # class forms its own group: about n / 2 height comparisons and
+        # d merges per class.
+        cube = construct_acute_cube(ConstructionConfig(dim=dim))[0]
+        pts = list(cube.points) + [apex_point(dim)]
+        calls = {"cmp": 0, "merge": 0}
+        cmp, merge = Dyadic._cmp, geometry.dyadic_diff_sign
+
+        def counted_cmp(x, y):
+            calls["cmp"] += 1
+            return cmp(x, y)
+
+        def counted_merge(a, b, c):
+            calls["merge"] += 1
+            return merge(a, b, c)
+        monkeypatch.setattr(Dyadic, "_cmp", counted_cmp)
+        monkeypatch.setattr(geometry, "dyadic_diff_sign", counted_merge)
+        gram = ExactGram(pts)
+        n = len(pts)
+        assert gram._sigma == [n - 2 - i for i in range(n - 1)] + [n - 1]
+        assert calls["cmp"] <= 2 * n
+        assert calls["merge"] <= (dim - 1) * n
+
+    def test_cancelling_zero_height_beside_a_fraction_zero(self):
+        # Non-empty terms that sum to 0 have no binade: the search must key
+        # by sign first and still pair the two zero heights.
+        zero = Dyadic([(0, 1), (-1, -2)])
+        assert zero.terms and zero.sign() == 0
+        pts = [(F(0), zero), (F(1), F(0)), (F(1, 2), F(3))]
+        assert ExactGram(pts)._sigma == [1, 0, 2]
+        oracle = [[Dyadic.of(x) for x in p] for p in pts]
+        assert self.check(pts, oracle) == 2
+
+    def test_equal_heights_in_different_terms_pair(self):
+        tiny = Dyadic.pow2(-100_000)
+        pts = [(tiny, F(1, 4), Dyadic([(-1, 1)])),
+               (Dyadic.pow2(0) - tiny, F(3, 4), Dyadic([(0, 1), (-1, -1)])),
+               (F(1, 2), F(1, 2), F(3))]
+        assert ExactGram(pts)._sigma == [1, 0, 2]
+        oracle = [[Dyadic.of(x) for x in p] for p in pts]
+        assert self.check(pts, oracle) == 2
+
+    def test_float_kernel_scans_every_apex(self):
+        # R maps the cube and its apex onto itself, but only the exact
+        # kernel looks for sigma.
+        pts = (hypercube_vertices(4, "float64").points
+               + (apex_point(4, backend="float64"),))
+        assert FloatGram(pts)._sigma is None
+        (raw, args), apexes = self.scanned(pts, FloatGram)
+        assert apexes == list(range(len(pts)))
+        full, every = FloatGram(pts).min_dots(range(len(pts)))
+        assert (raw, args) == (full, tuple(every))
