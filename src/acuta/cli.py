@@ -4,8 +4,8 @@ Subcommands: ``generate`` (build and certify a set), ``verify`` (certify a
 point-set file), ``table`` (cardinality landscape per dimension),
 ``baseline`` (greedy random reference).
 
-Exit codes: 0 success/certified, 2 bad input or unreadable file, 3 a
-predicate check failed, 4 construction failed.
+Exit codes: 0 success/certified, 2 bad input or an unreadable or
+unwritable file, 3 a predicate check failed, 4 construction failed.
 """
 from __future__ import annotations
 
@@ -16,10 +16,9 @@ from typing import Optional
 
 from .construct import (ConstructionConfig, ConstructionError, construct_full,
                         random_baseline)
-from .geometry import GeometryError
-from .pointset_io import (ParseError, dumps_canonical, render_coord,
-                          save_point_set, load_point_set)
-from .scalars import FLOAT64, RATIONAL, Dyadic, ScalarError
+from .pointset_io import (dumps_canonical, render_coord, save_point_set,
+                          load_point_set)
+from .scalars import FLOAT64, RATIONAL, Dyadic
 from .verify import (hard_cap, legacy_bounds, target_size, verify_acute,
                      verify_antipodal_witness, verify_nonobtuse)
 
@@ -42,10 +41,10 @@ def _fmt_margin(margin) -> str:
             approx = float(margin)
         except OverflowError:
             approx = None
-        if (approx == 0.0 or approx is None) and margin > 0:
-            # Positive but below float range: report the binary scale.
+        if (approx == 0.0 or approx is None) and margin != 0:
+            # Beyond float range either way: report the binary scale.
             e = margin.numerator.bit_length() - margin.denominator.bit_length()
-            return f"exact>0 (~2^{e})"
+            return f"exact>0 (~2^{e})" if margin > 0 else f"exact<0 (~-2^{e})"
         if margin.numerator.bit_length() + margin.denominator.bit_length() <= 140:
             return f"{margin.numerator}/{margin.denominator} ({approx:.6g})"
         return f"{approx:.6g}"
@@ -169,15 +168,11 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ConstructionError, ValueError, OSError) as exc:
+        # ParseError, ScalarError and GeometryError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
-    except (ScalarError, GeometryError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return (EXIT_CONSTRUCTION if isinstance(exc, ConstructionError)
+                else EXIT_INPUT)
 
 
 def entry() -> None:

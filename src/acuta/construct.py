@@ -39,8 +39,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _designs
-from .geometry import (GeometryError, Point, PointSet, dot_at_apex, kernel,
-                       squared_diameter)
+from .geometry import (GeometryError, Point, PointSet, _finite_sqdiam,
+                       dot_at_apex, kernel, squared_diameter)
 from .scalars import FLOAT64, RATIONAL, Backend, Dyadic, RawScalar, as_exact
 
 __all__ = [
@@ -205,10 +205,6 @@ class LemmaReport:
     checks: int
 
 
-def _pad(v: Sequence[int]) -> Point:
-    return tuple(Fraction(x) for x in v) + (Fraction(0),)
-
-
 def lemma_check(d: int, s) -> LemmaReport:
     """Exhaustively confirm the single-step displacement lemma.
 
@@ -239,7 +235,7 @@ def lemma_check(d: int, s) -> LemmaReport:
         raise ValueError(f"scale {s} out of range for d = {d}")
     residual = b * b - mu * a
 
-    verts = [_pad(v) for v in itertools.product((0, 1), repeat=mu)]
+    verts = hypercube_vertices(d).points
     min1: Optional[Fraction] = None
     min2: Optional[Fraction] = None
     checks = 0
@@ -286,7 +282,7 @@ def safe_radius(ps: PointSet, margin: RawScalar) -> RawScalar:
     """
     if not margin > 0:
         raise ValueError(f"safe_radius needs a positive margin, got {margin}")
-    sqd = squared_diameter(ps)
+    sqd = _finite_sqdiam(squared_diameter(ps))
     if isinstance(sqd, Dyadic) or isinstance(margin, Dyadic):
         # 2**(2h) >= sqd because sqd < 2**(floor_log2(sqd) + 1).
         h = max(0, (Dyadic.of(sqd).floor_log2() + 2) // 2)

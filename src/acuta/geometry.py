@@ -33,6 +33,10 @@ can decide reach the exact sparse sign test:
 float64 sets use :class:`FloatGram`, which takes every inner product
 between differences from the apex.
 
+Both kernels sweep for a first failing angle in one method and one order,
+:meth:`_Kernel.first_failure`; the exact kernel's filters name, per chunk
+of the sweep, only the angles whose sign may fail.
+
 Consecutive scans of one :class:`PointSet` object share its kernel:
 :func:`kernel` keeps the last set's kernel, and at most that one outlives
 its call, until the set dies or another set is scanned. A kernel scans its
@@ -44,7 +48,6 @@ itself, and then scans one apex of each orbit (see :class:`ExactGram`).
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -142,6 +145,10 @@ def dot_at_apex(q: Point, p: Point, r: Point) -> RawScalar:
     return sum((pk - qk) * (rk - qk) for qk, pk, rk in zip(q, p, r))
 
 
+# The angles of a triple (i, j, k) in sweep order: at i, at j, then at k.
+_ANGLES = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1]])
+
+
 class _Kernel:
     """What the exact and the float kernel share.
 
@@ -204,16 +211,35 @@ class _Kernel:
         """Sweep the triples i < j < k in order, each angle at i, at j, then
         at k, and stop at the first raw dot that ``fails``. Returns the
         triples checked, the failing ``(q, a, b)`` and its raw dot, or
-        ``(C(n, 3), None, None)``.
+        ``(C(n, 3), None, None)``. Each block of angles (one i, every
+        j < k after it) is listed in sweep order as index arrays, a few rows
+        j at a time, and only the angles :meth:`_may_fail` names are tested.
+        A chunk holds about 16 triples, doubling up to 1024, or one row
+        where a row is longer: an early failure lists few angles, and below
+        n = 1800 no index array reaches glibc's 128 kB mmap threshold.
         """
-        checked = 0
-        for i, j, k in itertools.combinations(range(self.n), 3):
-            checked += 1
-            for (q, a, b) in ((i, j, k), (j, i, k), (k, i, j)):
-                dot = self.dot(q, a, b)
-                if fails(dot):
-                    return checked, (q, a, b), dot
+        n, checked, size = self.n, 0, 16
+        for i in range(n - 2):
+            lo = i + 1
+            while lo < n - 1:
+                hi = min(n - 1, lo + max(1, size // (n - 1 - lo)))
+                j, k = np.nonzero(np.arange(lo + 1, n)
+                                  > np.arange(lo, hi)[:, None])
+                t = np.stack((np.full_like(j, i), j + lo, k + lo + 1), 1)
+                q, a, b = t[:, _ANGLES].reshape(-1, 3).T
+                for x in self._may_fail(q, a, b, fails):
+                    angle = (int(q[x]), int(a[x]), int(b[x]))
+                    dot = self.dot(*angle)
+                    if fails(dot):
+                        return checked + x // 3 + 1, angle, dot
+                checked, lo, size = checked + len(t), hi, min(2 * size, 1024)
         return checked, None, None
+
+    def _may_fail(self, q, a, b, fails):
+        """The positions, ascending, of the angles (q; a, b) whose raw dot
+        may fail: here every one."""
+        return range(q.size)
+
 
 # Heads are scaled so that every Gram entry's head stays below 2**55 in
 # magnitude: a dot's four heads plus its four tail counts then fit int64.
@@ -712,47 +738,29 @@ class ExactGram(_Kernel):
         hi[rows] = _keys(2 * v + 1, top - 1, bits)
         return lo, hi, sure
 
-    def first_failure(self, fails):
-        """As :meth:`_Kernel.first_failure`, for a ``fails`` that depends
-        on the sign of the raw dot alone and is false for a positive one:
-        both rules of :mod:`acuta.verify` are, on an exact kernel, whose
-        strict margin is 0. So only ``fails(-1)`` and ``fails(0)`` are
-        asked, once.
-
-        The signs of each block of angles (the triples of one i, every
-        j < k after it) are bounded in numpy: D - R > 0 or a positive lower
-        leading-term key makes a dot positive, D + R < 0 or a negative upper
-        key negative, and D = R = 0 zero. Only the angles whose sign fails
-        or stays open rebuild their entries, in sweep order, until the first
-        whose exact sign fails.
+    def _may_fail(self, q, a, b, fails):
+        """As :meth:`_Kernel._may_fail`, for a ``fails`` that depends on the
+        sign of the raw dot alone and is false for a positive one, as both
+        rules of :mod:`acuta.verify` are at strict margin 0. The signs are
+        bounded in numpy: D - R > 0 or a positive lower leading-term key
+        makes a dot positive, D + R < 0 or a negative upper key negative,
+        and D = R = 0 zero. The angles whose sign fails or stays open are
+        named: only they rebuild their entries.
         """
         bad = [s for s in (-1, 0) if fails(s)]
-        n, h, t = self.n, self.heads, self.tails
-        checked = 0
-        for i in range(n - 2) if bad else ():
-            j, k = np.triu_indices(n - i - 1, k=1)
-            j += i + 1
-            k += i + 1
-            f = np.full_like(j, i)
-            q = np.stack((f, j, k), 1).ravel()
-            a = np.stack((j, f, f), 1).ravel()
-            b = np.stack((k, k, j), 1).ravel()
-            d = h[a, b] - h[q, a] - h[q, b] + h[q, q]
-            r = t[a, b] + t[q, a] + t[q, b] + t[q, q]
-            sign = np.where(d - r > 0, 1, np.where(
-                d + r < 0, -1, np.where(r == 0, 0, 2)))     # 2: open
-            if self.leads is not None:
-                left = np.flatnonzero(sign == 2)
-                lo, hi, sure = self._lead_bounds(q[left], a[left], b[left])
-                sign[left[sure & (lo > 0)]] = 1
-                sign[left[sure & (hi < 0)]] = -1
-            for x in np.flatnonzero(np.isin(sign, bad + [2])).tolist():
-                angle = (int(q[x]), int(a[x]), int(b[x]))
-                dot = self.dot(*angle)
-                if dot.sign() in bad:
-                    return checked + x // 3 + 1, angle, dot
-            checked += j.size
-        return math.comb(n, 3), None, None
+        if not bad:
+            return []
+        h, t = self.heads, self.tails
+        d = h[a, b] - h[q, a] - h[q, b] + h[q, q]
+        r = t[a, b] + t[q, a] + t[q, b] + t[q, q]
+        sign = np.where(d - r > 0, 1, np.where(
+            d + r < 0, -1, np.where(r == 0, 0, 2)))     # 2: open
+        if self.leads is not None:
+            left = np.flatnonzero(sign == 2)
+            lo, hi, sure = self._lead_bounds(q[left], a[left], b[left])
+            sign[left[sure & (lo > 0)]] = 1
+            sign[left[sure & (hi < 0)]] = -1
+        return np.flatnonzero(np.isin(sign, bad + [2])).tolist()
 
     def min_dots(self, apexes: Sequence[int]):
         """Smallest raw apex dot over ``apexes`` and every ``(q, i, j)``
@@ -901,6 +909,15 @@ def kernel(ps: PointSet) -> _Kernel:
 def squared_diameter(ps: PointSet) -> RawScalar:
     """Largest squared distance between two points of the set."""
     return kernel(ps).sqdiam()
+
+
+def _finite_sqdiam(sqd: RawScalar) -> RawScalar:
+    """``sqd``, refused with ValueError if it is a float that overflowed."""
+    if isinstance(sqd, float) and not math.isfinite(sqd):
+        raise ValueError(
+            f"the float64 squared diameter is {sqd}: the strict margin "
+            "1e-9 * (1 + squared diameter) needs a finite one")
+    return sqd
 
 
 def set_margin(ps: PointSet,

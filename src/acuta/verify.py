@@ -4,13 +4,14 @@ The checks take nothing from the construction: they see only the points.
 Every scan runs on the kernel of the set's backend,
 :func:`acuta.geometry.kernel` (:class:`~acuta.geometry.ExactGram` or
 :class:`~acuta.geometry.FloatGram`), which ``set_margin`` shares; this
-module only assembles reports. Every angle and slab check reads the
-kernel's apex minimum, which the kernel scans once and keeps, so margin and
-verdict mode agree on every verdict; only a failing verdict-mode check
-sweeps on, for the first failing angle. Consecutive checks of one set share
-its kernel (``kernel`` keeps the last set's until that set dies or another
-set is scanned), so a margin, verdict and slab check of the same object
-build one Gram matrix and scan it once.
+module only assembles reports, every one of them in ``_check``. Every angle
+and slab check reads the kernel's apex minimum, which the kernel scans once
+and keeps, so margin and verdict mode agree on every verdict; only a
+failing verdict-mode check sweeps on, for the first failing angle, in the
+one sweep both kernels share (``_Kernel.first_failure``). Consecutive
+checks of one set share its kernel (``kernel`` keeps the last set's until
+that set dies or another set is scanned), so a margin, verdict and slab
+check of the same object build one Gram matrix and scan it once.
 The independent check of the kernels is the naive triple loop
 ``naive_margin`` in the test suite, which acceptance criterion 8 compares
 against bit for bit. ``threads`` is accepted and ignored.
@@ -21,7 +22,7 @@ s = ``1e-9 * (1 + squared diameter)``, computed in float64, so that it
 grows with the set's scale. An angle is acute when its apex inner product
 is > s and non-obtuse when it is >= -s; a slab holds when its depth is
 > s. A float64 set whose squared diameter overflows is refused with
-``ValueError``.
+``ValueError``, here and by :func:`acuta.construct.safe_radius`.
 
 Checks come in three strengths:
 
@@ -40,7 +41,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import PointSet, TripleWitness, kernel
+from .geometry import PointSet, TripleWitness, _finite_sqdiam, kernel
 from .scalars import RATIONAL, Backend, RawScalar
 
 __all__ = [
@@ -70,36 +71,40 @@ class VerificationReport:
     elapsed: float
 
 
-def _setup(ps: PointSet):
-    """Scan kernel, squared diameter and the strict margin s of the module
-    docstring, in raw units: raw exact values carry the true sign, and raw
-    float values are the values themselves."""
-    if len(ps) < 3:
-        raise ValueError("verification needs at least 3 points")
-    gram = kernel(ps)
-    sqd = gram.sqdiam()
-    if ps.backend == RATIONAL:
-        return gram, sqd, 0
-    if not math.isfinite(sqd):
-        raise ValueError(
-            f"the float64 squared diameter is {sqd}: the strict margin "
-            "1e-9 * (1 + squared diameter) needs a finite one")
-    return gram, sqd, 1e-9 * (1.0 + float(sqd))
+# The failing rule of each check for a strict margin s, on raw apex dots:
+# an angle fails unless its dot is > s, and is obtuse below -s. The slab
+# depths are the apex dots (see _Kernel.min_slab), held to the acute rule.
+_FAILS = {
+    "acute": lambda strict: (lambda dot: not dot > strict),
+    "nonobtuse": lambda strict: (lambda dot: dot < -strict),
+}
+_FAILS["antipodal"] = _FAILS["acute"]
 
 
-def _angle_check(ps: PointSet, check: str, mode: str,
-                 fail_rule) -> VerificationReport:
+def _check(ps: PointSet, check: str, mode: str) -> VerificationReport:
+    """The report of ``check`` on ``ps``. Raw exact values carry the true
+    sign, and raw float values are the values themselves, so the strict
+    margin s of the module docstring applies to raw dots as they are."""
     if mode not in ("margin", "verdict"):
         raise ValueError(f"unknown mode: {mode!r}")
     start = time.perf_counter()
-    gram, sqd, strict = _setup(ps)
-    fails = fail_rule(strict)
-
     n = len(ps)
+    if n < 3:
+        raise ValueError("verification needs at least 3 points")
+    gram = kernel(ps)
+    sqd = gram.sqdiam()
+    strict = (0 if ps.backend == RATIONAL
+              else 1e-9 * (1.0 + float(_finite_sqdiam(sqd))))
+    fails = _FAILS[check](strict)
+
     raw, args = gram.minimum()
     margin = gram.margin()
-    witness = TripleWitness(*args[0], margin)
-    checked = n * (n - 1) * (n - 2) // 6
+    if check == "antipodal":
+        witness = TripleWitness(*gram.min_slab()[1], margin)
+        checked = n * (n - 1) * (n - 2) // 2
+    else:
+        witness = TripleWitness(*args[0], margin)
+        checked = n * (n - 1) * (n - 2) // 6
     if mode == "verdict":
         if not fails(raw):
             margin = witness = None
@@ -127,8 +132,7 @@ def verify_acute(ps: PointSet, mode: str = "margin",
     sweep over triples i < j < k (angles at i, j, then k) and the triples
     swept to reach it.
     """
-    return _angle_check(ps, "acute", mode,
-                        lambda strict: (lambda dot: not dot > strict))
+    return _check(ps, "acute", mode)
 
 
 def verify_nonobtuse(ps: PointSet, mode: str = "margin",
@@ -138,8 +142,7 @@ def verify_nonobtuse(ps: PointSet, mode: str = "margin",
     Exact backend: every inner product must be >= 0. Float backend: must
     not drop below minus the strict margin.
     """
-    return _angle_check(ps, "nonobtuse", mode,
-                        lambda strict: (lambda dot: dot < -strict))
+    return _check(ps, "nonobtuse", mode)
 
 
 def verify_antipodal_witness(ps: PointSet) -> VerificationReport:
@@ -153,19 +156,7 @@ def verify_antipodal_witness(ps: PointSet) -> VerificationReport:
     |y - x|^2 - t. Passing this check is necessary for acuteness, and in
     exact arithmetic the two are equivalent.
     """
-    start = time.perf_counter()
-    gram, sqd, strict = _setup(ps)
-
-    n = len(ps)
-    _, (x, y, z) = gram.min_slab()
-    margin = gram.margin()
-    verdict = bool(margin > strict)
-    return VerificationReport(
-        check="antipodal", verdict=verdict, margin=margin,
-        witness=TripleWitness(x, y, z, margin),
-        triples_checked=n * (n - 1) * (n - 2) // 2,
-        squared_diameter=sqd, backend=ps.backend,
-        elapsed=time.perf_counter() - start)
+    return _check(ps, "antipodal", "margin")
 
 
 # ---------------------------------------------------------------------------

@@ -413,6 +413,15 @@ def _obtuse(dot):
     return dot < 0
 
 
+def _check_sweep(gram, oracle):
+    """The kernel's sweep (``_Kernel.first_failure``) under both rules must
+    equal the naive early-exit loop on ``oracle``, triple count included."""
+    for rule in (_not_acute, _obtuse):
+        checked, angle, dot = gram.first_failure(rule)
+        dot = None if dot is None else gram.value(dot)
+        assert (checked, angle, dot) == naive_first_failure(oracle, rule)
+
+
 def _near_2_70(seed, n, dim):
     """Integer points within 3 of (2**70, ..., 2**70): Gram entries near
     2**141, so the heads keep nothing of any dot (H < 0)."""
@@ -450,10 +459,7 @@ class TestHeadFilter:
         assert (gram.value(raw), witness) == naive_slab(oracle)
         assert gram.value(gram.max_sqdist()) == max(
             dot_at_apex(p, r, r) for p, r in itertools.combinations(oracle, 2))
-        for rule in (_not_acute, _obtuse):
-            checked, angle, dot = gram.first_failure(rule)
-            dot = None if dot is None else gram.value(dot)
-            assert (checked, angle, dot) == naive_first_failure(oracle, rule)
+        _check_sweep(gram, oracle)
 
     @given(st.integers(0, 10 ** 6), st.integers(3, 10), st.integers(2, 4))
     @settings(max_examples=25, deadline=None)
@@ -507,6 +513,82 @@ class TestHeadFilter:
             checked, angle, dot = gram.first_failure(rule)
             assert checked == 196
             assert (checked, angle, dot) == naive_first_failure(oracle, rule)
+
+
+class TestSweep:
+    """``_Kernel.first_failure`` is the one sweep of both kernels."""
+
+    @given(st.integers(0, 10 ** 6), st.integers(3, 12), st.integers(2, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_float_kernel_equals_the_naive_sweep(self, seed, n, dim):
+        rng = random.Random(seed)
+        pts = [tuple(rng.uniform(-1, 1) for _ in range(dim))
+               for _ in range(n)]
+        _check_sweep(FloatGram(pts), pts)
+
+    def test_exact_failure_past_block_0(self):
+        # The d = 5 ladder set with its apex first and a copy of the apex
+        # lowered to height 0 last: every triangle of the apex and two
+        # ladder points is acute, so the first failure, an angle at the
+        # lowered apex, lies past the block of i = 0.
+        pts = list(construct_full(ConstructionConfig(dim=5))[0].points)
+        pts = [pts[-1]] + pts[:-1] + [pts[-1][:-1] + (F(0),)]
+        gram = ExactGram(pts)
+        assert gram.leads is not None
+        for rule in (_not_acute, _obtuse):
+            assert gram.first_failure(rule)[0] > math.comb(len(pts) - 1, 2)
+        _check_sweep(gram, pts)
+
+    def test_float_failure_past_block_0(self):
+        # The d = 4 float design with its apex first and its next point
+        # moved to the origin: every triangle with the apex stays acute, and
+        # the first failure is the obtuse angle at the origin, triple 29.
+        ps = construct_full(ConstructionConfig(dim=4, backend="float64"))[0]
+        pts = [ps.points[-1]] + list(ps.points[:-1])
+        pts[1] = hypercube_vertices(4, "float64").points[0]
+        gram = FloatGram(pts)
+        for rule in (_not_acute, _obtuse):
+            assert gram.first_failure(rule)[0] > math.comb(len(pts) - 1, 2)
+        _check_sweep(gram, pts)
+
+    @pytest.mark.parametrize("n", [3, 4, 18, 50])
+    def test_chunks_list_every_angle_in_order(self, n):
+        # At n = 50 the chunks grow from one row to the cap of 1024 triples,
+        # and block 0 (1176 triples) spans two of them.
+        seen = []
+
+        class Spy(FloatGram):
+            def dot(self, q, a, b):
+                seen.append((q, a, b))
+                return super().dot(q, a, b)
+
+        rng = random.Random(n)
+        gram = Spy([(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                    for _ in range(n)])
+        assert gram.first_failure(lambda dot: False) == (
+            math.comb(n, 3), None, None)
+        assert seen == [angle
+                        for i, j, k in itertools.combinations(range(n), 3)
+                        for angle in ((i, j, k), (j, i, k), (k, i, j))]
+
+    def test_exact_failure_past_several_chunks(self):
+        # The d = 6 ladder set with a copy of its apex lowered to height 0
+        # last: the first failure, the angle at the copy in triple (0, 7,
+        # 33), is triple 203, in the fourth chunk of block 0 (rows j = 1,
+        # j = 2, j = 3..4, then j = 5..8).
+        pts = list(construct_full(ConstructionConfig(dim=6))[0].points)
+        pts.append(pts[-1][:-1] + (F(0),))
+        gram = ExactGram(pts)
+        assert gram.first_failure(_not_acute)[:2] == (203, (33, 0, 7))
+        _check_sweep(gram, pts)
+
+    def test_a_rule_failing_no_sign_sweeps_every_triple(self):
+        exact = construct_full(ConstructionConfig(dim=5))[0]
+        design = construct_full(ConstructionConfig(dim=4,
+                                                   backend="float64"))[0]
+        for gram in (ExactGram(exact.points), FloatGram(design.points)):
+            assert gram.first_failure(lambda dot: False) == (
+                math.comb(gram.n, 3), None, None)
 
 
 def _apex(dim):

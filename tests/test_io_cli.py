@@ -12,7 +12,7 @@ import pytest
 from acuta import (ConstructionConfig, Dyadic, ParseError, PointSet,
                    construct_acute_cube, construct_full, load_point_set,
                    save_point_set, set_margin, verify_acute)
-from acuta.cli import _report_obj, main
+from acuta.cli import _fmt_margin, _report_obj, main
 from acuta.geometry import _digits, _odd
 from acuta.pointset_io import (_MAX_COORD_CHARS, _MAX_EXP_DIGITS, _MAX_TERMS,
                                _binary, _parse_coord, dumps_canonical,
@@ -572,6 +572,16 @@ class TestCli:
         assert captured.err.startswith("error: the float64 squared diameter "
                                        "is inf")
 
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_generate_unwritable_out_exits_2(self, tmp_path, capsys, where):
+        out = {"missing-dir": tmp_path / "missing" / "x.json",
+               "a-dir": tmp_path}[where]
+        assert main(["generate", "3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
     def test_verify_corrupt_input(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{broken")
@@ -630,6 +640,18 @@ class TestCli:
             assert main(["generate", str(d)]) == 0
             out = capsys.readouterr().out
             assert f"points={points} margin=exact>0 (~2^{scale}) " in out
+
+    @pytest.mark.parametrize("margin, text", [
+        (F(1, 2 ** 2000), "exact>0 (~2^-2000)"),
+        (F(-1, 2 ** 2000), "exact<0 (~-2^-2000)"),
+        (F(10 ** 400), "exact>0 (~2^1328)"),
+        (F(-10 ** 400), "exact<0 (~-2^1328)"),
+        (F(0), "0/1 (0)"),
+        (F(-1, 3), "-1/3 (-0.333333)"),
+    ])
+    def test_fraction_margins_beyond_float_print_their_scale(self, margin,
+                                                             text):
+        assert _fmt_margin(margin) == text
 
     def test_generate_d8_json_verifies(self, tmp_path, capsys):
         # Exact sets with d >= 6 hold values no "p/q" can; the binary form
