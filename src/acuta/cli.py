@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional
 
 from .construct import (ConstructionConfig, ConstructionError, construct_full,
@@ -73,10 +74,25 @@ def _report_obj(report) -> dict:
     }
 
 
+def _check_out(path: Path, fmt: str, backend: str) -> None:
+    """Refuse, before any build, an ``--out`` that cannot be written: a
+    directory, a path whose directory does not exist, or csv for an exact
+    set. :func:`save_point_set` still refuses whatever else it cannot
+    write."""
+    if fmt == "csv" and backend != FLOAT64:
+        raise ValueError("csv output supports the float64 backend only")
+    if path.is_dir():
+        raise IsADirectoryError(f"--out {path} is a directory")
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"--out {path}: no directory {path.parent}")
+
+
 def cmd_generate(args) -> int:
     backend = RATIONAL if args.mode == "exact" else FLOAT64
     cfg = ConstructionConfig(dim=args.dim, backend=backend,
                              apex_height=args.apex_height)
+    if args.out:
+        _check_out(Path(args.out), args.format, backend)
     ps, trace, report = construct_full(cfg)
     if args.out:
         if args.format == "csv":

@@ -34,7 +34,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -448,11 +448,6 @@ def _ladder(cfg: ConstructionConfig) -> Tuple[PointSet, ConstructionTrace]:
     return PointSet(dim=d, points=tuple(moved), backend=RATIONAL), trace
 
 
-def triangle_has_nonacute(a: Point, b: Point, c: Point) -> bool:
-    return (dot_at_apex(a, b, c) <= 0 or dot_at_apex(b, a, c) <= 0
-            or dot_at_apex(c, a, b) <= 0)
-
-
 def construct_full(cfg: ConstructionConfig):
     """Cube part plus apex, guard-checked and independently re-verified.
 
@@ -495,27 +490,66 @@ def construct_full(cfg: ConstructionConfig):
     return full, trace, report
 
 
+# Candidates the baseline draws at a time: a block of 1024 float64 rows,
+# so that its memory does not grow with the number of trials.
+_DRAWS = 1024
+
+
 def random_baseline(dim: int, trials: int = 200, seed: int = 0) -> PointSet:
     """Greedy random baseline: keep uniform points that stay acute.
 
     Draws ``trials`` uniform points from the unit cube and keeps each one
-    that leaves every triple strictly acute. The stall size of this greedy
-    filter is tiny compared to 2**(dim-1) + 1, which is the point.
+    that leaves every triple strictly acute and is not already kept. The
+    stall size of this greedy filter is tiny compared to 2**(dim-1) + 1,
+    which is the point.
+
+    The candidates are drawn in blocks of at most 1024, which is the same
+    stream as one ``rng.random(dim)`` per trial. A block is first checked
+    against every pair of the points kept so far; then, each time a point
+    is kept, every later candidate of the block is checked in numpy
+    against the new pairs (each earlier kept point, the new point). Each
+    dot is summed left to right as :func:`~acuta.geometry.dot_at_apex`
+    sums it, so the kept points are those of one trial at a time.
     """
     if dim < 2:
         raise ValueError(f"need dim >= 2, got {dim}")
     rng = np.random.default_rng(seed)
-    kept: List[Point] = []
-    for _ in range(trials):
-        cand = tuple(float(x) for x in rng.random(dim))
-        good = True
-        for i in range(len(kept)):
-            if not good:
-                break
-            for j in range(i + 1, len(kept)):
-                if triangle_has_nonacute(kept[i], kept[j], cand):
-                    good = False
-                    break
-        if good and cand not in kept:
-            kept.append(cand)
-    return PointSet(dim=dim, points=tuple(kept), backend=FLOAT64)
+    kept = np.empty((0, dim))
+    for start in range(0, trials, _DRAWS):
+        cands = rng.random((min(_DRAWS, trials - start), dim))
+        live = np.arange(len(cands))
+        for t in range(len(kept)):
+            live = live[_acute_with(kept, t, cands[live])]
+        while live.size:
+            kept = np.vstack((kept, cands[live[0]]))
+            live = live[1:][_acute_with(kept, len(kept) - 1,
+                                        cands[live[1:]])]
+    return PointSet(dim=dim, points=tuple(map(tuple, kept.tolist())),
+                    backend=FLOAT64)
+
+
+def _acute_with(kept: np.ndarray, t: int, cands: np.ndarray) -> np.ndarray:
+    """Which candidates c leave every triangle (kept[i], kept[t], c), i < t,
+    strictly acute; for t = 0, which differ from kept[0]. A candidate equal
+    to a kept point meets a later pair at a zero dot, so only the first
+    kept point needs the comparison."""
+    p = kept[t]
+    if t == 0:
+        return (cands != p).any(axis=1)
+    a = kept[:t]
+    ca = cands[:, None] - a
+    cp = (cands - p)[:, None]
+    # The dots at kept[i], at kept[t] and at c: (c - a)(c - p) is
+    # (a - c)(p - c) exactly, since negating both factors is exact.
+    ok = _sum_in_order((p - a) * ca) > 0
+    ok &= _sum_in_order((a - p) * cp) > 0
+    ok &= _sum_in_order(ca * cp) > 0
+    return ok.all(axis=1)
+
+
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, added left to right."""
+    total = terms[..., 0].copy()
+    for k in range(1, terms.shape[-1]):
+        total += terms[..., k]
+    return total

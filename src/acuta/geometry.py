@@ -259,6 +259,8 @@ _ROW_MASS_BITS = 31
 # Coefficient products the build forms at a time: 256 kB per int64 array,
 # which keeps the d = 8 build's peak (tracemalloc) near 4 MB.
 _BLOCK = 1 << 15
+# Coordinate differences the float diameter forms at a time: 256 kB.
+_FLOAT_BLOCK = 1 << 15
 
 
 class _Leads(NamedTuple):
@@ -337,20 +339,33 @@ def _mirror(rows, m: Dyadic) -> Optional[list]:
     """The permutation sigma with p_sigma(i) = R(p_i) for every point, as a
     list, or None if some point has no image in the set. ``rows`` are the
     coordinates times m, all Dyadic. Partners have equal heights, so the
-    heights are grouped by sign and binade and compared exactly only within
-    a group; a pair is checked with one merge per coordinate, x + y == m,
-    which is x + y == 1 in the original units."""
+    points are grouped by the sign and binade of their heights. A group of
+    more than two, such as an unperturbed cube's, is split further by the
+    sign and binade of every other coordinate, and a point looks only in
+    the bucket of its image's, m - x_k, which equal values share; so the
+    search stays linear. A pair is compared exactly with one merge per
+    coordinate, x + y == m, which is x + y == 1 in the original units."""
+    def key(x: Dyadic) -> tuple:
+        s = x.sign()
+        return s, s and x.floor_log2()
+
     groups: dict = {}
     for i, p in enumerate(rows):
-        s = p[-1].sign()
-        groups.setdefault((s, s and p[-1].floor_log2()), []).append(i)
+        groups.setdefault(key(p[-1]), []).append(i)
     sigma = [None] * len(rows)
     for group in groups.values():
-        for k, i in enumerate(group):
+        buckets: dict = {}
+        if len(group) > 2:
+            for i in group:
+                buckets.setdefault(tuple(map(key, rows[i][:-1])),
+                                   []).append(i)
+        for i in group:
             if sigma[i] is not None:
                 continue
             p = rows[i]
-            for j in group[k:]:
+            near = group if len(group) <= 2 else buckets.get(
+                tuple(key(m - x) for x in p[:-1]), ())
+            for j in near:
                 q = rows[j]
                 if sigma[j] is None and all(
                         dyadic_diff_sign(m, x, y) == 0
@@ -482,10 +497,11 @@ class ExactGram(_Kernel):
     maps every ladder set onto itself: a cube vertex to its antipode, which
     has the same scale, and the apex to itself. The build finds the
     permutation sigma with p_sigma(i) = R(p_i) on the scaled rows and keeps
-    it as ``_sigma`` (:func:`_mirror`); the builder is not trusted. Heights
-    are grouped by sign and binade and compared exactly within a group, and
-    a pair is checked with one merge per coordinate. R is an isometry, so
-    the dot at (q; i, j) equals the dot at (sigma(q); sigma(i), sigma(j)),
+    it as ``_sigma`` (:func:`_mirror`); the builder is not trusted. Points
+    are bucketed by the sign and binade of their heights, and in a large
+    bucket of their other coordinates too, and compared exactly within a
+    bucket, a pair with one merge per coordinate. R is an isometry, so the
+    dot at (q; i, j) equals the dot at (sigma(q); sigma(i), sigma(j)),
     and :meth:`minimum` scans one apex of each orbit {q, sigma(q)}, the
     smaller, then adds the images of the minimal angles it found. The
     lex-first minimal angle has the smaller apex of its orbit, since its
@@ -829,6 +845,13 @@ class FloatGram(_Kernel):
     form G_ij - G_iq - G_jq + G_qq loses every digit to cancellation once
     the points sit far from the origin compared with the set's diameter.
     Raw values are the float values themselves.
+
+    :meth:`min_dots` takes one BLAS product ``diffs @ diffs.T`` per apex
+    and reduces it in place over its strict upper triangle, the apex's
+    row and column set to inf; :meth:`max_sqdist` takes the squared
+    distances a block of rows at a time, each square summed over the
+    contiguous last axis as a single row's would be. Neither gathers
+    entries per apex or loops per row, and every value keeps its bits.
     """
 
     def __init__(self, points: Sequence[Point]):
@@ -847,29 +870,37 @@ class FloatGram(_Kernel):
         return dot_at_apex(pts[q], pts[i], pts[j])
 
     def max_sqdist(self) -> float:
-        arr = self.arr
+        arr, n = self.arr, self.n
+        # Rows a .. a + rows - 1 against every row after a: a pair within
+        # the block comes twice, with equal squares, and a row against
+        # itself gives 0.
+        rows = max(1, _FLOAT_BLOCK // max(1, arr.size))
+        best = 0.0
         # A squared distance past the float range is inf, which the
         # checks of acuta.verify refuse.
         with np.errstate(over="ignore"):
-            return max((float(((arr[i + 1:] - arr[i]) ** 2).sum(axis=1).max())
-                        for i in range(self.n - 1)), default=0.0)
+            for a in range(0, n - 1, rows):
+                diffs = arr[a + 1:] - arr[a:a + rows, None]
+                np.square(diffs, out=diffs)
+                best = max(best, float(diffs.sum(axis=2).max()))
+        return best
 
     def min_dots(self, apexes: Sequence[int]):
         """As :meth:`ExactGram.min_dots`, one apex at a time in numpy."""
-        arr = self.arr
-        iu, ju = np.triu_indices(self.n, k=1)
+        arr, n = self.arr, self.n
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
         best, args = None, []
         for q in apexes:
             diffs = arr - arr[q]
             g = diffs @ diffs.T
             g[q, :] = g[:, q] = np.inf
-            vals = g[iu, ju]
-            m = float(vals.min())
+            m = float(np.minimum.reduce(g, axis=None, where=upper,
+                                        initial=np.inf))
             if best is None or m < best:
                 best, args = m, []
             if m == best:
-                args += [(q, int(iu[k]), int(ju[k]))
-                         for k in np.flatnonzero(vals == m)]
+                i, j = np.divmod(np.flatnonzero(g == m), n)
+                args += [(q, int(a), int(b)) for a, b in zip(i, j) if a < b]
         return best, args
 
 

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from acuta import PointSet
@@ -39,6 +40,30 @@ def naive_minima(points):
                 [i for i in range(n) if i != q], 2)]
     low = min(dot for _, dot in dots)
     return low, [angle for angle, dot in dots if dot == low]
+
+
+def naive_sqdiam(points):
+    """Reference squared diameter: the largest sum of squared coordinate
+    differences over pairs, 0 for fewer than two points."""
+    return max((sum((x - y) * (x - y) for x, y in zip(p, q))
+                for p, q in itertools.combinations(points, 2)), default=0)
+
+
+def naive_baseline(dim, trials, seed):
+    """Reference greedy baseline: one ``rng.random(dim)`` per trial, kept
+    when it is not kept already and every triangle it makes with two kept
+    points has three positive apex dots."""
+    rng = np.random.default_rng(seed)
+    kept = []
+    for _ in range(trials):
+        cand = tuple(float(x) for x in rng.random(dim))
+        pts, c = kept + [cand], len(kept)
+        if cand not in kept and all(
+                _dot(pts, q, a, b) > 0
+                for i, j in itertools.combinations(range(c), 2)
+                for q, a, b in ((i, j, c), (j, i, c), (c, i, j))):
+            kept.append(cand)
+    return tuple(kept)
 
 
 def naive_first_failure(points, fails):

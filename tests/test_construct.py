@@ -4,8 +4,10 @@ import operator
 import re
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,9 @@ from acuta import (ConstructionConfig, ConstructionError, ConstructionTrace,
                    squared_diameter, verify_acute, verify_nonobtuse)
 from acuta._designs import (DESIGN_MARGINS, LADDER_MAX_DIM,
                             LADDER_MAX_DIM_SECONDS, ladder_ks)
+from acuta import construct
 from acuta.cli import EXIT_CONSTRUCTION, main
+from conftest import naive_baseline
 
 F = Fraction
 
@@ -506,6 +510,37 @@ class TestBaseline:
     def test_far_below_target(self):
         ps = random_baseline(4, trials=300, seed=1)
         assert len(ps) < 2 ** 3 + 1
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_equals_the_naive_greedy_loop(self, dim):
+        # One more trial than a block crosses into a second draw.
+        for seed in range(30):
+            for trials in (-1, 0, 1, 2, 3, 200, construct._DRAWS + 1):
+                ps = random_baseline(dim, trials=trials, seed=seed)
+                assert ps.points == naive_baseline(dim, trials, seed)
+
+    def test_a_kept_point_is_not_kept_again(self):
+        # Uniform draws repeat with a chance near 2**-53 per pair, so the
+        # check is tested directly: against the first kept point by
+        # comparison, against a later one through its pair's zero dot.
+        kept = np.array([[0.5, 0.5], [0.9, 0.1]])
+        cands = np.array([[0.5, 0.5], [0.9, 0.1], [0.9, 0.6]])
+        assert construct._acute_with(kept, 0, cands).tolist() == [
+            False, True, True]
+        assert construct._acute_with(kept, 1, cands).tolist() == [
+            False, False, True]
+
+    def test_memory_does_not_grow_with_trials(self):
+        random_baseline(4, trials=10)       # numpy's first-call allocations
+        peaks = []
+        for trials in (10 ** 3, 10 ** 5):
+            tracemalloc.start()
+            try:
+                random_baseline(4, trials=trials)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
 
 
 class TestFullSets:

@@ -24,7 +24,8 @@ from acuta.scalars import FRACTION_BITS
 from acuta.verify import (verify_acute, verify_antipodal_witness,
                           verify_nonobtuse)
 from conftest import (naive_first_failure, naive_margin, naive_minima,
-                      naive_slab, random_rational_points, random_rational_set)
+                      naive_slab, naive_sqdiam, random_rational_points,
+                      random_rational_set)
 
 F = Fraction
 
@@ -1114,6 +1115,43 @@ class TestMirrorScan:
         assert calls["cmp"] <= 2 * n
         assert calls["merge"] <= (dim - 1) * n
 
+    @staticmethod
+    def brute_sigma(pts):
+        """Each point's image found by comparing it with every point, the
+        first match taken; None if some point has none."""
+        sigma = []
+        for p in pts:
+            match = [j for j, q in enumerate(pts) if tuple(q) == _reflect(p)]
+            if not match:
+                return None
+            sigma.append(match[0])
+        return sigma
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+    def test_sigma_equals_the_brute_force_one(self, dim):
+        # An unperturbed cube has every height at 0, so its points fall in
+        # one height group and are bucketed by their other coordinates; a
+        # ladder set's antipodal classes form groups of two.
+        sets = [hypercube_vertices(dim).points + (apex_point(dim),)]
+        if dim >= 5:
+            sets.append(construct_full(ConstructionConfig(dim=dim))[0].points)
+        for pts in sets:
+            sigma = ExactGram(pts)._sigma
+            assert sigma is not None and sigma == self.brute_sigma(pts)
+
+    def test_cube_point_without_an_image_has_no_sigma(self):
+        # 3/2 keeps the sign and binade of the 1 it replaces, so the point
+        # stays in its bucket, and its antipode finds it there and must
+        # compare it exactly; the image of 3/2 is -1/2, in no bucket.
+        pts = [list(p) for p in hypercube_vertices(5).points]
+        assert pts[8][:4] == [1, 0, 0, 0]
+        pts[8][0] = F(3, 2)
+        pts.append(apex_point(5))
+        assert self.brute_sigma(pts) is None
+        assert ExactGram(pts)._sigma is None
+        pts[8][0] = F(1)
+        assert ExactGram(pts)._sigma == self.brute_sigma(pts)
+
     def test_cancelling_zero_height_beside_a_fraction_zero(self):
         # Non-empty terms that sum to 0 have no binade: the search must key
         # by sign first and still pair the two zero heights.
@@ -1143,3 +1181,67 @@ class TestMirrorScan:
         assert apexes == list(range(len(pts)))
         full, every = FloatGram(pts).min_dots(range(len(pts)))
         assert (raw, args) == (full, tuple(every))
+
+
+def _eighths(seed, n, dim, offset=0.0, span=16):
+    """n distinct float points with coordinates k/8, |k| <= ``span``, all
+    moved by ``offset``. Every difference, product and sum a kernel forms on them is
+    exact, so every summation order gives the same bits, and the coarse
+    grid ties many dots."""
+    rng = random.Random(seed)
+    pts = set()
+    while len(pts) < n:
+        pts.add(tuple(rng.randint(-span, span) / 8 for _ in range(dim)))
+    return [tuple(x + offset for x in p) for p in sorted(pts)]
+
+
+class TestFloatGram:
+    """``FloatGram`` reduces each apex's product in place and takes the
+    diameter a block of rows at a time. On sets whose arithmetic is exact
+    its minimum, witnesses and diameter equal the naive loops bit for
+    bit."""
+
+    @staticmethod
+    def sets():
+        cubes = [hypercube_vertices(d, "float64").points
+                 + (apex_point(d, backend="float64"),) for d in (2, 3, 4, 5)]
+        grids = [_eighths(seed, n, dim, span=span)
+                 for seed, (n, dim, span) in enumerate([
+                     (3, 1, 16), (9, 1, 16), (5, 2, 16), (17, 2, 16),
+                     (12, 3, 16), (33, 4, 16), (40, 6, 16), (8, 2, 1),
+                     (20, 3, 1), (30, 4, 1), (24, 5, 1)])]
+        return [[tuple(x + offset for x in p) for p in pts]
+                for pts in cubes + grids for offset in (0.0, 1e7)]
+
+    @pytest.mark.parametrize("block", [None, 1, 50])
+    def test_equals_the_naive_loops(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(geometry, "_FLOAT_BLOCK", block)
+        ties = 0
+        for pts in self.sets():
+            gram = FloatGram(pts)
+            low, every = naive_minima(pts)
+            assert gram.min_dots(range(len(pts))) == (low, every)
+            assert gram.minimum() == (low, tuple(every))
+            assert gram.max_sqdist() == naive_sqdiam(pts)
+            ties += len(every) > 1
+        assert ties >= 10
+
+    @pytest.mark.parametrize("block", [None, 7, 1000])
+    def test_diameter_over_many_blocks(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(geometry, "_FLOAT_BLOCK", block)
+        for offset in (0.0, 1e7):
+            pts = _eighths(7, 300, 3, offset)
+            assert FloatGram(pts).max_sqdist() == naive_sqdiam(pts)
+
+    def test_overflowing_set_keeps_its_results(self):
+        # The results this set gave when every apex's product was
+        # gathered and the diameter taken one row at a time: differences
+        # overflow to inf, and two apexes see a dot of -inf.
+        pts = [(1e308, 0.0), (-1e308, 0.0), (0.0, 1e308), (1.0, -1e308)]
+        gram = FloatGram(pts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert gram.min_dots(range(4)) == (-math.inf,
+                                               [(2, 0, 1), (3, 0, 1)])
+        assert gram.max_sqdist() == math.inf

@@ -12,6 +12,7 @@ import pytest
 from acuta import (ConstructionConfig, Dyadic, ParseError, PointSet,
                    construct_acute_cube, construct_full, load_point_set,
                    save_point_set, set_margin, verify_acute)
+from acuta import cli
 from acuta.cli import _fmt_margin, _report_obj, main
 from acuta.geometry import _digits, _odd
 from acuta.pointset_io import (_MAX_COORD_CHARS, _MAX_EXP_DIGITS, _MAX_TERMS,
@@ -581,6 +582,22 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["--out", "missing/x.json"],
+        ["--out", "."],
+        ["--mode", "exact", "--format", "csv", "--out", "x.csv"],
+    ])
+    def test_generate_refuses_its_out_before_the_build(self, argv, tmp_path,
+                                                        monkeypatch, capsys):
+        def build(cfg):
+            raise AssertionError("construct_full was called")
+        monkeypatch.setattr(cli, "construct_full", build)
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "10", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_verify_corrupt_input(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
