@@ -39,7 +39,7 @@ def main():
 
     print()
     print("== single-step lemma minima ==")
-    for d in range(2, min(args.dmax, 6) + 1):
+    for d in range(2, args.dmax + 1):
         for s in (Fraction(1, 10), Fraction(1, 100)):
             rep = lemma_check(d, s)
             print(f"d={d} s={s}: ok={rep.ok} "

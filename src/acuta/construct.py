@@ -194,7 +194,7 @@ def _coupled_step(mu: int, s: RawScalar) -> Tuple[RawScalar, ...]:
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """Result of the exhaustive right-angle repair check."""
+    """Result of the right-angle repair check of the single-step lemma."""
 
     ok: bool
     d: int
@@ -206,25 +206,28 @@ class LemmaReport:
 
 
 def lemma_check(d: int, s) -> LemmaReport:
-    """Exhaustively confirm the single-step displacement lemma.
+    """Confirm the single-step displacement lemma from pattern counts.
 
-    For every vertex x of the (d-1)-cube, displace it alone to x' with the
-    coupled step of scale ``s`` and recompute, in exact arithmetic, every
-    angle of every triangle containing x' (the third points y, z ranging
-    over all other vertices):
+    Move one cube vertex x alone to x' by the coupled step of scale ``s``
+    (each in-plane coordinate a towards the centre, a lift b) and take two
+    other vertices. From the angle's vertex, count the d-1 in-plane
+    coordinates where neither leg differs (c00), only the first (c10),
+    only the second (c01) or both (c11); a coordinate's two leg components
+    share one sign. So the dot of the angle
 
-    * case 1 - the angle sits at an unmoved vertex y. The lift component b
-      is orthogonal to the cube plane, so the inner product moves by at
-      most (d-1) a; originally-right angles gain exactly +a per coordinate
-      the other leg flips, and originally-acute ones keep a surplus of at
-      least 1 - (d-1)^2 s^2.
-    * case 2 - the angle sits at x' itself. Here the first-order gains and
-      losses cancel identically — the coupling makes b^2 - (d-1) a = 0 —
-      and only the second-order surplus ~(d-1) a^2 keeps previously-right
-      angles strictly acute.
+    * (case 1) at an unmoved y, legs x' and z (1 where z differs, else 0;
+      a where x agrees with y, 1 - a where not; lift 0) is c11 (1-a) + c01 a;
+    * (case 2) at x', legs y and z (-a where a leg agrees with x, 1 - a
+      where not; lifts -b) is c11 (1-a)^2 - (c10+c01) a (1-a) + c00 a^2 + b^2.
+      Once b^2 = (d-1) a, this is c11 (1-a+a^2) + (c10+c01) a^2 +
+      c00 (a+a^2): first-order terms cancel, right angles keep (d-1) a^2.
 
-    Returns the minima observed in both cases plus the coupling residual
-    b^2 - (d-1) a, which the caller can assert to be exactly zero.
+    The vertices are distinct exactly when c10+c11, c01+c11 and c10+c01
+    are >= 1, and every such vector occurs, so the minima over them (None
+    at d = 2) are those of the 9 C(2^(d-1), 3) ``checks``: three angles
+    per triangle per moved vertex. They are taken on integer numerators
+    over r and (less b^2) r^2, where a = p/r. The coupling residual
+    b^2 - (d-1) a should be zero.
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
@@ -233,30 +236,22 @@ def lemma_check(d: int, s) -> LemmaReport:
     a, _, b = _coupled_step(mu, s)
     if not (s > 0 and a < 1):
         raise ValueError(f"scale {s} out of range for d = {d}")
-    residual = b * b - mu * a
-
-    verts = hypercube_vertices(d).points
-    min1: Optional[Fraction] = None
-    min2: Optional[Fraction] = None
-    checks = 0
-    ok = True
-    for xi, px in enumerate(verts):
-        moved = perturb_vertex(px, s)
-        others = [p for i, p in enumerate(verts) if i != xi]
-        for py, pz in itertools.combinations(others, 2):
-            at_y = dot_at_apex(py, moved, pz)
-            at_z = dot_at_apex(pz, moved, py)
-            at_moved = dot_at_apex(moved, py, pz)
-            checks += 3
-            for val in (at_y, at_z):
-                if min1 is None or val < min1:
-                    min1 = val
-            if min2 is None or at_moved < min2:
-                min2 = at_moved
-            if at_y <= 0 or at_z <= 0 or at_moved <= 0:
-                ok = False
-    return LemmaReport(ok=ok, d=d, s=s, min_case1=min1, min_case2=min2,
-                       coupling_residual=residual, checks=checks)
+    counts = [(mu - c11 - c10 - c01, c10, c01, c11)
+              for c11 in range(mu + 1) for c10 in range(mu + 1 - c11)
+              for c01 in range(mu + 1 - c11 - c10)
+              if c10 + c11 and c01 + c11 and c10 + c01]
+    min1 = min2 = None
+    if counts:
+        p, r = a.as_integer_ratio()
+        q = r - p
+        min1 = Fraction(min(c11 * q + c01 * p
+                            for _, _, c01, c11 in counts), r)
+        min2 = Fraction(min(c11 * q * q - (c10 + c01) * p * q + c00 * p * p
+                            for c00, c10, c01, c11 in counts), r * r) + b * b
+    return LemmaReport(ok=all(m is None or m > 0 for m in (min1, min2)),
+                       d=d, s=s, min_case1=min1, min_case2=min2,
+                       coupling_residual=b * b - mu * a,
+                       checks=9 * math.comb(2 ** mu, 3))
 
 
 def _ceil_sqrt_int(x: RawScalar) -> int:

@@ -958,11 +958,14 @@ def set_margin(ps: PointSet,
     Returns the minimum apex inner product together with a witness: among
     all triples achieving the minimum, the lexicographically smallest
     ``(apex, leg1, leg2)`` with ``leg1 < leg2``. ``threads`` is accepted
-    and ignored; the scan runs in one thread.
+    and ignored; the scan runs in one thread. A float64 set whose squared
+    diameter overflows is refused with ValueError, as verify refuses it.
     """
     n = len(ps)
     if n < 3:
         raise GeometryError(f"need at least 3 points, got {n}")
     gram = kernel(ps)
+    if ps.backend == FLOAT64:
+        _finite_sqdiam(gram.sqdiam())
     margin = gram.margin()
     return margin, TripleWitness(*gram.minimum()[1][0], margin)

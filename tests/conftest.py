@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from acuta import PointSet
+from acuta import LemmaReport, PointSet, hypercube_vertices, perturb_vertex
 
 
 def naive_margin(points):
@@ -29,6 +29,35 @@ def naive_margin(points):
 def _dot(points, q, a, b):
     pq, pa, pb = points[q], points[a], points[b]
     return sum((x - z) * (y - z) for x, y, z in zip(pa, pb, pq))
+
+
+def naive_lemma(d, s):
+    """Reference lemma check: the exhaustive loop. Every cube vertex x is
+    moved alone by the coupled step of scale s, and every triangle it makes
+    with two other vertices has all three angles computed exactly."""
+    s = Fraction(s)
+    mu = d - 1
+    a, b = mu * s * s, mu * s
+    if not (d >= 2 and s > 0 and a < 1):
+        raise ValueError(f"scale {s} out of range for d = {d}")
+    verts = hypercube_vertices(d).points
+    min1 = min2 = None
+    checks, ok = 0, True
+    for x, px in enumerate(verts):
+        pts = [perturb_vertex(px, s)] + [p for i, p in enumerate(verts)
+                                         if i != x]
+        for y, z in itertools.combinations(range(1, len(pts)), 2):
+            at_y, at_z = _dot(pts, y, 0, z), _dot(pts, z, 0, y)
+            at_moved = _dot(pts, 0, y, z)
+            checks += 3
+            for val in (at_y, at_z):
+                if min1 is None or val < min1:
+                    min1 = val
+            if min2 is None or at_moved < min2:
+                min2 = at_moved
+            ok = ok and at_y > 0 and at_z > 0 and at_moved > 0
+    return LemmaReport(ok=ok, d=d, s=s, min_case1=min1, min_case2=min2,
+                       coupling_residual=b * b - mu * a, checks=checks)
 
 
 def naive_minima(points):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import operator
 import re
@@ -22,7 +23,7 @@ from acuta._designs import (DESIGN_MARGINS, LADDER_MAX_DIM,
                             LADDER_MAX_DIM_SECONDS, ladder_ks)
 from acuta import construct
 from acuta.cli import EXIT_CONSTRUCTION, main
-from conftest import naive_baseline
+from conftest import naive_baseline, naive_lemma
 
 F = Fraction
 
@@ -98,14 +99,26 @@ class TestLemma:
         assert rep.coupling_residual == 0
         assert rep.checks == 36
 
-    @pytest.mark.parametrize("d", range(2, 6))
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 12, 24, 64])
     @pytest.mark.parametrize("s", [F(1, 10), F(1, 100)])
     def test_small_dims(self, d, s):
         rep = lemma_check(d, s)
         assert rep.ok
         assert rep.coupling_residual == 0
         if d > 2:
+            a = (d - 1) * s ** 2
             assert rep.min_case2 == (d - 1) ** 3 * s ** 4
+            assert rep.min_case1 == min(a, 1 - a)
+
+    @pytest.mark.parametrize("d, s", [
+        (d, s) for d in range(2, 6)
+        for s in (F(1, 10), F(1, 100), F(1, 3), F(2, 5), F(1, 4))
+    ] + [(6, F(1, 10))], ids=lambda v: str(v).replace("/", "_"))
+    def test_equals_the_naive_loop(self, d, s):
+        rep, ref = lemma_check(d, s), naive_lemma(d, s)
+        assert rep == ref
+        assert [type(v) for v in dataclasses.astuple(rep)] == [
+            type(v) for v in dataclasses.astuple(ref)]
 
     def test_vacuous_at_d2(self):
         rep = lemma_check(2, F(1, 10))

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+import warnings
 import weakref
 from fractions import Fraction
 
@@ -91,6 +92,14 @@ class TestBasics:
     def test_set_margin_needs_three_points(self):
         with pytest.raises(GeometryError):
             set_margin(rat_ps((0, 0), (1, 1)))
+
+    def test_set_margin_refuses_an_overflowing_float_set(self):
+        ps = PointSet(dim=2, points=((1e308, 0), (-1e308, 0), (0, 1e308),
+                                     (1, -1e308)), backend="float64")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="squared diameter is inf"):
+                set_margin(ps)
 
 
 class TestSparseCoercion:
