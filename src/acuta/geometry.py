@@ -34,8 +34,9 @@ float64 sets use :class:`FloatGram`, which takes every inner product
 between differences from the apex.
 
 Both kernels sweep for a first failing angle in one method and one order,
-:meth:`_Kernel.first_failure`; the exact kernel's filters name, per chunk
-of the sweep, only the angles whose sign may fail.
+:meth:`_Kernel.first_failure`, over one lex stream of triples read in
+chunks; the exact kernel's filters name, per chunk, only the angles whose
+sign may fail.
 
 Consecutive scans of one :class:`PointSet` object share its kernel:
 :func:`kernel` keeps the last set's kernel, and at most that one outlives
@@ -48,6 +49,7 @@ itself, and then scans one apex of each orbit (see :class:`ExactGram`).
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -194,6 +196,10 @@ class _Kernel:
             self._sqdiam = self.value(self.max_sqdist())
         return self._sqdiam
 
+    def sqdist(self, i: int, j: int):
+        """Raw |p_i - p_j|^2, the apex dot at i with both legs j."""
+        return self.dot(i, j, j)
+
     def min_slab(self):
         """Smallest raw slab depth min(t, |p_y - p_x|^2 - t) over pairs
         x < y and third points z, t = <p_z - p_x, p_y - p_x>, with the
@@ -211,29 +217,28 @@ class _Kernel:
         """Sweep the triples i < j < k in order, each angle at i, at j, then
         at k, and stop at the first raw dot that ``fails``. Returns the
         triples checked, the failing ``(q, a, b)`` and its raw dot, or
-        ``(C(n, 3), None, None)``. Each block of angles (one i, every
-        j < k after it) is listed in sweep order as index arrays, a few rows
-        j at a time, and only the angles :meth:`_may_fail` names are tested.
-        A chunk holds about 16 triples, doubling up to 1024, or one row
-        where a row is longer: an early failure lists few angles, and below
-        n = 1800 no index array reaches glibc's 128 kB mmap threshold.
+        ``(C(n, 3), None, None)``. The triples are one lex stream,
+        ``itertools.combinations``, read a chunk at a time into index
+        arrays, and only the angles :meth:`_may_fail` names are tested. A
+        chunk holds 16 triples, doubling up to 1024: an early failure lists
+        few angles, and no index array reaches glibc's 128 kB mmap
+        threshold.
         """
-        n, checked, size = self.n, 0, 16
-        for i in range(n - 2):
-            lo = i + 1
-            while lo < n - 1:
-                hi = min(n - 1, lo + max(1, size // (n - 1 - lo)))
-                j, k = np.nonzero(np.arange(lo + 1, n)
-                                  > np.arange(lo, hi)[:, None])
-                t = np.stack((np.full_like(j, i), j + lo, k + lo + 1), 1)
-                q, a, b = t[:, _ANGLES].reshape(-1, 3).T
-                for x in self._may_fail(q, a, b, fails):
-                    angle = (int(q[x]), int(a[x]), int(b[x]))
-                    dot = self.dot(*angle)
-                    if fails(dot):
-                        return checked + x // 3 + 1, angle, dot
-                checked, lo, size = checked + len(t), hi, min(2 * size, 1024)
-        return checked, None, None
+        stream = itertools.chain.from_iterable(
+            itertools.combinations(range(self.n), 3))
+        checked, size = 0, 16
+        while True:
+            t = np.fromiter(itertools.islice(stream, 3 * size),
+                            np.intp).reshape(-1, 3)
+            if not len(t):
+                return checked, None, None
+            q, a, b = t[:, _ANGLES].reshape(-1, 3).T
+            for x in self._may_fail(q, a, b, fails):
+                angle = (int(q[x]), int(a[x]), int(b[x]))
+                dot = self.dot(*angle)
+                if fails(dot):
+                    return checked + x // 3 + 1, angle, dot
+            checked, size = checked + len(t), min(2 * size, 1024)
 
     def _may_fail(self, q, a, b, fails):
         """The positions, ascending, of the angles (q; a, b) whose raw dot
@@ -685,11 +690,6 @@ class ExactGram(_Kernel):
             return as_exact(raw)
         return raw.over(self._m2)
 
-    def sqdist(self, i: int, j: int):
-        """Raw |p_i - p_j|^2."""
-        g = self.g
-        return g[i][i] + g[j][j] - 2 * g[i][j]
-
     def dot(self, q: int, i: int, j: int):
         """Raw <p_i - p_q, p_j - p_q>, the inner product at apex q."""
         gq = self.g[q]
@@ -861,9 +861,6 @@ class FloatGram(_Kernel):
 
     def value(self, raw) -> RawScalar:
         return raw
-
-    def sqdist(self, i: int, j: int) -> float:
-        return self.dot(i, j, j)
 
     def dot(self, q: int, i: int, j: int) -> float:
         pts = self.points

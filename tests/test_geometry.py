@@ -563,8 +563,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("n", [3, 4, 18, 50])
     def test_chunks_list_every_angle_in_order(self, n):
-        # At n = 50 the chunks grow from one row to the cap of 1024 triples,
-        # and block 0 (1176 triples) spans two of them.
+        # At n = 50 the chunks grow from 16 triples to the cap of 1024 and
+        # cross the blocks of one i: block 0 (1176 triples) ends inside the
+        # seventh chunk, triples 1009 to 2032.
         seen = []
 
         class Spy(FloatGram):
@@ -584,13 +585,41 @@ class TestSweep:
     def test_exact_failure_past_several_chunks(self):
         # The d = 6 ladder set with a copy of its apex lowered to height 0
         # last: the first failure, the angle at the copy in triple (0, 7,
-        # 33), is triple 203, in the fourth chunk of block 0 (rows j = 1,
-        # j = 2, j = 3..4, then j = 5..8).
+        # 33), is triple 203, in the fourth chunk of the sweep (chunks of
+        # 16, 32, 64, then 128 triples: triples 113 to 240).
         pts = list(construct_full(ConstructionConfig(dim=6))[0].points)
         pts.append(pts[-1][:-1] + (F(0),))
         gram = ExactGram(pts)
         assert gram.first_failure(_not_acute)[:2] == (203, (33, 0, 7))
         _check_sweep(gram, pts)
+
+    def test_no_chunk_exceeds_1024_triples(self):
+        # 1100 points: block 0's rows hold up to 1098 triples each, more
+        # than a chunk's cap, and the failing angle (at j of triple 3101)
+        # lies in the ninth chunk, the third at the cap (triples 3057 to
+        # 4080).
+        n = 1100
+        target = next(itertools.islice(
+            itertools.combinations(range(n), 3), 3100, None))
+        bad = (target[1], target[0], target[2])
+        sizes = []
+
+        class Scripted(FloatGram):
+            def dot(self, q, a, b):
+                return -1.0 if (q, a, b) == bad else 1.0
+
+            def _may_fail(self, q, a, b, fails):
+                sizes.append(q.size)
+                return super()._may_fail(q, a, b, fails)
+
+        gram = Scripted([(float(x),) for x in range(n)])
+        naive = next(
+            (m + 1, angle, -1.0)
+            for m, (i, j, k) in enumerate(itertools.combinations(range(n), 3))
+            for angle in ((i, j, k), (j, i, k), (k, i, j))
+            if gram.dot(*angle) < 0)
+        assert gram.first_failure(_obtuse) == naive == (3101, bad, -1.0)
+        assert sizes and max(sizes) <= 3 * 1024
 
     def test_a_rule_failing_no_sign_sweeps_every_triple(self):
         exact = construct_full(ConstructionConfig(dim=5))[0]
