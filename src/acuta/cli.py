@@ -43,8 +43,9 @@ def _fmt_margin(margin) -> str:
         except OverflowError:
             approx = None
         if (approx == 0.0 or approx is None) and margin != 0:
-            # Beyond float range either way: report the binary scale.
+            # Beyond float range either way: report floor(log2 |p/q|).
             e = margin.numerator.bit_length() - margin.denominator.bit_length()
+            e -= abs(margin) < Fraction(2) ** e
             return f"exact>0 (~2^{e})" if margin > 0 else f"exact<0 (~-2^{e})"
         if margin.numerator.bit_length() + margin.denominator.bit_length() <= 140:
             return f"{margin.numerator}/{margin.denominator} ({approx:.6g})"

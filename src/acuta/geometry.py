@@ -796,8 +796,6 @@ class ExactGram(_Kernel):
             d = hij - hq[iu] - hq[ju] + hq[q]
             r = tij + tq[iu] + tq[ju] + tq[q]
             away = (iu != q) & (ju != q)
-            if not away.any():
-                continue
             top = int((d + r)[away].min())
             cap = top if cap is None else min(cap, top)
             keep = np.flatnonzero(away & (d - r <= cap))
@@ -956,7 +954,7 @@ def set_margin(ps: PointSet,
     all triples achieving the minimum, the lexicographically smallest
     ``(apex, leg1, leg2)`` with ``leg1 < leg2``. ``threads`` is accepted
     and ignored; the scan runs in one thread. A float64 set whose squared
-    diameter overflows is refused with ValueError, as verify refuses it.
+    diameter overflows is refused with ValueError, for verify's checks too.
     """
     n = len(ps)
     if n < 3:

@@ -3,18 +3,19 @@
 The checks take nothing from the construction: they see only the points.
 Every scan runs on the kernel of the set's backend,
 :func:`acuta.geometry.kernel` (:class:`~acuta.geometry.ExactGram` or
-:class:`~acuta.geometry.FloatGram`), which ``set_margin`` shares; this
-module only assembles reports, every one of them in ``_check``. Every angle
-and slab check reads the kernel's apex minimum, which the kernel scans once
-and keeps, so margin and verdict mode agree on every verdict; only a
-failing verdict-mode check sweeps on, for the first failing angle, in the
-one sweep both kernels share (``_Kernel.first_failure``). Consecutive
-checks of one set share its kernel (``kernel`` keeps the last set's until
-that set dies or another set is scanned), so a margin, verdict and slab
-check of the same object build one Gram matrix and scan it once.
-The independent check of the kernels is the naive triple loop
-``naive_margin`` in the test suite, which acceptance criterion 8 compares
-against bit for bit. ``threads`` is accepted and ignored.
+:class:`~acuta.geometry.FloatGram`); this module only assembles reports,
+every one of them in ``_check``. ``_check`` takes the margin, its witness
+and the refusals (fewer than 3 points, an overflowing float64 set) from
+:func:`acuta.geometry.set_margin`. Every angle and slab check reads the
+kernel's apex minimum, which the kernel scans once and keeps, so margin
+and verdict mode agree on every verdict; only a failing verdict-mode check
+sweeps on, for the first failing angle, in the one sweep both kernels
+share (``_Kernel.first_failure``). Consecutive checks of one set share its
+kernel (``kernel`` keeps the last set's until that set dies or another set
+is scanned), so a margin, verdict and slab check of the same object build
+one Gram matrix and scan it once. The independent check of the kernels is
+the naive triple loop ``naive_margin`` in the test suite, which acceptance
+criterion 8 compares against bit for bit.
 
 Exact sets are certified exactly, with strict margin s = 0. float64 mode
 is only a screen, with one rule: its strict margin is
@@ -41,7 +42,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import PointSet, TripleWitness, _finite_sqdiam, kernel
+from .geometry import PointSet, TripleWitness, kernel, set_margin
 from .scalars import RATIONAL, Backend, RawScalar
 
 __all__ = [
@@ -82,29 +83,25 @@ _FAILS["antipodal"] = _FAILS["acute"]
 
 
 def _check(ps: PointSet, check: str, mode: str) -> VerificationReport:
-    """The report of ``check`` on ``ps``. Raw exact values carry the true
-    sign, and raw float values are the values themselves, so the strict
-    margin s of the module docstring applies to raw dots as they are."""
+    """The report of ``check`` on ``ps``, on ``set_margin``'s margin,
+    witness and refusals. Raw exact values carry the true sign, and raw
+    float values are the values themselves, so the strict margin s of the
+    module docstring applies to raw dots as they are."""
     if mode not in ("margin", "verdict"):
         raise ValueError(f"unknown mode: {mode!r}")
     start = time.perf_counter()
-    n = len(ps)
-    if n < 3:
-        raise ValueError("verification needs at least 3 points")
+    margin, witness = set_margin(ps)
     gram = kernel(ps)
     sqd = gram.sqdiam()
-    strict = (0 if ps.backend == RATIONAL
-              else 1e-9 * (1.0 + float(_finite_sqdiam(sqd))))
+    strict = 0 if ps.backend == RATIONAL else 1e-9 * (1.0 + float(sqd))
     fails = _FAILS[check](strict)
 
-    raw, args = gram.minimum()
-    margin = gram.margin()
+    raw = gram.minimum()[0]
+    n = len(ps)
+    checked = n * (n - 1) * (n - 2) // 6
     if check == "antipodal":
         witness = TripleWitness(*gram.min_slab()[1], margin)
-        checked = n * (n - 1) * (n - 2) // 2
-    else:
-        witness = TripleWitness(*args[0], margin)
-        checked = n * (n - 1) * (n - 2) // 6
+        checked *= 3
     if mode == "verdict":
         if not fails(raw):
             margin = witness = None
@@ -122,8 +119,7 @@ def _check(ps: PointSet, check: str, mode: str) -> VerificationReport:
         elapsed=time.perf_counter() - start)
 
 
-def verify_acute(ps: PointSet, mode: str = "margin",
-                 threads: Optional[int] = None) -> VerificationReport:
+def verify_acute(ps: PointSet, mode: str = "margin") -> VerificationReport:
     """Certify that every angle is strictly acute.
 
     Both modes read the set's apex minimum. In ``"margin"`` mode the report
@@ -135,8 +131,7 @@ def verify_acute(ps: PointSet, mode: str = "margin",
     return _check(ps, "acute", mode)
 
 
-def verify_nonobtuse(ps: PointSet, mode: str = "margin",
-                     threads: Optional[int] = None) -> VerificationReport:
+def verify_nonobtuse(ps: PointSet, mode: str = "margin") -> VerificationReport:
     """Certify that no angle is obtuse (right angles are allowed).
 
     Exact backend: every inner product must be >= 0. Float backend: must

@@ -89,17 +89,32 @@ class TestBasics:
         with pytest.raises(GeometryError):
             TripleWitness(1, 1, 2, F(0))
 
-    def test_set_margin_needs_three_points(self):
-        with pytest.raises(GeometryError):
-            set_margin(rat_ps((0, 0), (1, 1)))
+    # Every verify call takes its refusals from set_margin: one message
+    # for a set too small, one for a float64 set whose diameter overflows.
+    MARGIN_CALLS = {
+        "set_margin": set_margin,
+        "acute": verify_acute,
+        "acute-verdict": lambda ps: verify_acute(ps, mode="verdict"),
+        "nonobtuse": verify_nonobtuse,
+        "nonobtuse-verdict": lambda ps: verify_nonobtuse(ps, mode="verdict"),
+        "antipodal": verify_antipodal_witness,
+    }
 
-    def test_set_margin_refuses_an_overflowing_float_set(self):
+    @pytest.mark.parametrize("call", MARGIN_CALLS)
+    def test_set_margin_needs_three_points(self, call):
+        with pytest.raises(GeometryError,
+                           match="need at least 3 points, got 2"):
+            self.MARGIN_CALLS[call](rat_ps((0, 0), (1, 1)))
+
+    @pytest.mark.parametrize("call", [*MARGIN_CALLS, "safe_radius"])
+    def test_set_margin_refuses_an_overflowing_float_set(self, call):
         ps = PointSet(dim=2, points=((1e308, 0), (-1e308, 0), (0, 1e308),
                                      (1, -1e308)), backend="float64")
+        check = self.MARGIN_CALLS.get(call, lambda ps: safe_radius(ps, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="squared diameter is inf"):
-                set_margin(ps)
+                check(ps)
 
 
 class TestSparseCoercion:

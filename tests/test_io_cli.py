@@ -665,6 +665,9 @@ class TestCli:
         (F(-10 ** 400), "exact<0 (~-2^1328)"),
         (F(0), "0/1 (0)"),
         (F(-1, 3), "-1/3 (-0.333333)"),
+        # The bit lengths' difference is one too high when |p| < q * 2**e.
+        (F(1, 3 * 2 ** 2000), "exact>0 (~2^-2002)"),
+        (F(2 ** 2000 + 1, 3), "exact>0 (~2^1998)"),
     ])
     def test_fraction_margins_beyond_float_print_their_scale(self, margin,
                                                              text):
