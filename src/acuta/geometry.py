@@ -58,8 +58,8 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .scalars import (FLOAT64, RATIONAL, Backend, Dyadic, RawScalar,
-                      ScalarError, as_exact, dyadic_diff_sign, head_split)
+from .scalars import (_HASH_P, FLOAT64, RATIONAL, Backend, Dyadic, RawScalar,
+                      as_exact, dyadic_diff_sign, head_split)
 
 Point = Tuple[RawScalar, ...]
 
@@ -343,42 +343,33 @@ def _runs_sum(x: np.ndarray, start: np.ndarray) -> np.ndarray:
 def _mirror(rows, m: Dyadic) -> Optional[list]:
     """The permutation sigma with p_sigma(i) = R(p_i) for every point, as a
     list, or None if some point has no image in the set. ``rows`` are the
-    coordinates times m, all Dyadic. Partners have equal heights, so the
-    points are grouped by the sign and binade of their heights. A group of
-    more than two, such as an unperturbed cube's, is split further by the
-    sign and binade of every other coordinate, and a point looks only in
-    the bucket of its image's, m - x_k, which equal values share; so the
-    search stays linear. A pair is compared exactly with one merge per
-    coordinate, x + y == m, which is x + y == 1 in the original units."""
-    def key(x: Dyadic) -> tuple:
-        s = x.sign()
-        return s, s and x.floor_log2()
-
-    groups: dict = {}
-    for i, p in enumerate(rows):
-        groups.setdefault(key(p[-1]), []).append(i)
+    coordinates times m, all Dyadic. Every row is keyed by its values'
+    residues mod P (:meth:`Dyadic.residue`), which equal values share
+    whatever their terms; the key of a point's image, m - x_k mod P and the
+    height's residue, is computed on the residues, so no value is formed
+    and the search stays linear. A key match is confirmed exactly, with one
+    merge per coordinate, x + y == m, which is x + y == 1 in the original
+    units, and an exact comparison of the heights."""
+    keys = [tuple(x.residue() for x in p) for p in rows]
+    at: dict = {}
+    for i, key in enumerate(keys):
+        at.setdefault(key, []).append(i)
+    mr = m.residue()
     sigma = [None] * len(rows)
-    for group in groups.values():
-        buckets: dict = {}
-        if len(group) > 2:
-            for i in group:
-                buckets.setdefault(tuple(map(key, rows[i][:-1])),
-                                   []).append(i)
-        for i in group:
-            if sigma[i] is not None:
-                continue
-            p = rows[i]
-            near = group if len(group) <= 2 else buckets.get(
-                tuple(key(m - x) for x in p[:-1]), ())
-            for j in near:
-                q = rows[j]
-                if sigma[j] is None and all(
-                        dyadic_diff_sign(m, x, y) == 0
-                        for x, y in zip(p[:-1], q)) and p[-1] == q[-1]:
-                    sigma[i], sigma[j] = j, i
-                    break
-            else:
-                return None
+    for i, p in enumerate(rows):
+        if sigma[i] is not None:
+            continue
+        key = keys[i]
+        image = tuple((mr - r) % _HASH_P for r in key[:-1]) + key[-1:]
+        for j in at.get(image, ()):
+            q = rows[j]
+            if sigma[j] is None and all(
+                    dyadic_diff_sign(m, x, y) == 0
+                    for x, y in zip(p[:-1], q)) and p[-1] == q[-1]:
+                sigma[i], sigma[j] = j, i
+                break
+        else:
+            return None
     return sigma
 
 
@@ -405,15 +396,16 @@ class _Entries:
 class ExactGram(_Kernel):
     """Gram matrix of an exact point set, in units that order exactly.
 
-    **Coordinates.** A set holding a Dyadic (see :class:`PointSet`: a set
-    with a value too large for a dense Fraction keeps all its Dyadic values
-    sparse) is taken as it is, m = 1; its other values must then be dyadic
-    too. A set of Fractions is scaled by m, the lcm of the odd parts of its
-    denominators (1 for a dyadic set), so every coordinate x becomes the
-    dyadic x * m (:func:`_digits`): one term, or the few signed binary
-    digits of a long numerator, such as the two of the ladder's 1 - 2**-e.
-    Raw values -- entries, squared distances, apex dots -- are the true
-    values times m**2 > 0, so their signs and their order are exact;
+    **Coordinates.** Every value is converted once. m is the lcm of the
+    odd parts of the denominators of the values that are not Dyadic (1 for
+    a dyadic set); each Dyadic is kept as it is, and every other coordinate
+    x becomes the dyadic x * m (:func:`_digits`): one term, or the few
+    signed binary digits of a long numerator, such as the two of the
+    ladder's 1 - 2**-e. A set holding a Dyadic (see :class:`PointSet`: a
+    set with a value too large for a dense Fraction keeps all its Dyadic
+    values sparse) cannot be scaled, so its m must be 1. Raw values --
+    entries, squared distances, apex dots -- are the true values times
+    m**2 > 0, so their signs and their order are exact;
     :meth:`value` converts one back, to a Fraction of any size for a
     Fraction set.
 
@@ -502,33 +494,31 @@ class ExactGram(_Kernel):
     maps every ladder set onto itself: a cube vertex to its antipode, which
     has the same scale, and the apex to itself. The build finds the
     permutation sigma with p_sigma(i) = R(p_i) on the scaled rows and keeps
-    it as ``_sigma`` (:func:`_mirror`); the builder is not trusted. Points
-    are bucketed by the sign and binade of their heights, and in a large
-    bucket of their other coordinates too, and compared exactly within a
-    bucket, a pair with one merge per coordinate. R is an isometry, so the
-    dot at (q; i, j) equals the dot at (sigma(q); sigma(i), sigma(j)),
-    and :meth:`minimum` scans one apex of each orbit {q, sigma(q)}, the
-    smaller, then adds the images of the minimal angles it found. The
-    lex-first minimal angle has the smaller apex of its orbit, since its
-    image is minimal too, so the scan meets it first and keeps the same raw
-    minimum, term for term, as a scan of every apex. A set that R does not
-    map onto itself has ``_sigma`` None and is scanned at every apex.
+    it as ``_sigma`` (:func:`_mirror`); the builder is not trusted. Each
+    point looks up its image by the residues mod P of the image's values,
+    computed from its own, and a match is confirmed exactly, with one merge
+    per coordinate. R is an isometry, so the dot at (q; i, j) equals the
+    dot at (sigma(q); sigma(i), sigma(j)), and :meth:`minimum` scans one
+    apex of each orbit {q, sigma(q)}, the smaller, then adds the images of
+    the minimal angles it found. The lex-first minimal angle has the
+    smaller apex of its orbit, since its image is minimal too, so the scan
+    meets it first and keeps the same raw minimum, term for term, as a scan
+    of every apex. A set that R does not map onto itself has ``_sigma``
+    None and is scanned at every apex.
     """
 
     def __init__(self, points: Sequence[Point]):
         n = self.n = len(points)
-        if any(isinstance(x, Dyadic) for p in points for x in p):
-            try:
-                rows = [[Dyadic.of(x) for x in p] for p in points]
-            except ScalarError as exc:
-                raise GeometryError(
-                    "an exact set with values too large for Fraction must be "
-                    f"all dyadic: {exc}") from exc
-            m, self._m2 = 1, None
-        else:
-            m = math.lcm(*{_odd(x.denominator) for p in points for x in p})
-            rows = [[_digits(x, m) for x in p] for p in points]
-            self._m2 = m * m
+        sparse = any(isinstance(x, Dyadic) for p in points for x in p)
+        m = math.lcm(*{_odd(x.denominator) for p in points for x in p
+                       if not isinstance(x, Dyadic)})
+        if sparse and m > 1:
+            raise GeometryError(
+                "an exact set with values too large for Fraction must be "
+                f"all dyadic, but some denominators have odd part {m}")
+        rows = [[x if isinstance(x, Dyadic) else _digits(x, m) for x in p]
+                for p in points]
+        self._m2 = None if sparse else m * m
         self._sigma = _mirror(rows, Dyadic.of(m))
         big = np.array([sum(x.mass for x in p) >> _ROW_MASS_BITS != 0
                         for p in rows], dtype=bool)

@@ -293,7 +293,8 @@ def _load_json(text: str) -> Tuple[PointSet, Optional[ConstructionTrace]]:
 
     try:
         obj = json.loads(text, parse_constant=_bad_const)
-    except ValueError as exc:       # JSONDecodeError, or an int too long
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an int too long, or arrays nested too deeply
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("top level must be an object")
@@ -325,7 +326,10 @@ def _load_json(text: str) -> Tuple[PointSet, Optional[ConstructionTrace]]:
 
 
 def _load_csv(text: str) -> Tuple[PointSet, None]:
-    rows = list(csv.reader(io.StringIO(text)))
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:        # such as a field over the size limit
+        raise ParseError(f"invalid csv: {exc}") from exc
     if not rows:
         raise ParseError("empty csv file")
     header = rows[0]

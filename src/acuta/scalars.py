@@ -301,12 +301,16 @@ class Dyadic:
     def __bool__(self) -> bool:
         return self.sign() != 0
 
+    def residue(self) -> int:
+        """The value mod P = ``sys.hash_info.modulus``, in [0, P): equal
+        values have equal residues, whatever their terms. P is a Mersenne
+        prime 2**k - 1, so 2**e reduces to 2**(e mod k) for any e."""
+        return sum(c << (e % _HASH_K) for e, c in self.terms) % _HASH_P
+
     def __hash__(self) -> int:
-        # Python hashes a rational x as |x| mod P, negated for x < 0; P is
-        # a Mersenne prime, so 2**e reduces to 2**(e mod k) for any e.
+        # Python hashes a rational x as |x| mod P, negated for x < 0.
         if self._hash is None:
-            r = sum(c * pow(2, e % _HASH_K, _HASH_P)
-                    for e, c in self.terms) % _HASH_P
+            r = self.residue()
             if self.sign() < 0:
                 r = -((-r) % _HASH_P)
             self._hash = -2 if r == -1 else r

@@ -106,10 +106,22 @@ class TestBasics:
                            match="need at least 3 points, got 2"):
             self.MARGIN_CALLS[call](rat_ps((0, 0), (1, 1)))
 
-    @pytest.mark.parametrize("call", [*MARGIN_CALLS, "safe_radius"])
-    def test_set_margin_refuses_an_overflowing_float_set(self, call):
-        ps = PointSet(dim=2, points=((1e308, 0), (-1e308, 0), (0, 1e308),
-                                     (1, -1e308)), backend="float64")
+    # Finite coordinates whose squared diameter is not: four points near
+    # the float64 maximum, and two triangles with one or two sides at
+    # 1e200. The radius divides by the diameter's integer square root,
+    # which an infinite squared diameter has none of: the same refusal.
+    OVERFLOWING = {
+        "": ((1e308, 0), (-1e308, 0), (0, 1e308), (1, -1e308)),
+        "-1e200": ((0.0, 0.0), (1e200, 0.0), (0.0, 1e200)),
+        "-1e200-flat": ((0.0, 0.0), (1e200, 0.0), (0.5, 3.0)),
+    }
+
+    @pytest.mark.parametrize("call, points", [
+        pytest.param(call, points, id=call + tag)
+        for (tag, points), call in itertools.product(
+            OVERFLOWING.items(), [*MARGIN_CALLS, "safe_radius"])])
+    def test_set_margin_refuses_an_overflowing_float_set(self, call, points):
+        ps = PointSet(dim=2, points=points, backend="float64")
         check = self.MARGIN_CALLS.get(call, lambda ps: safe_radius(ps, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1145,9 +1157,9 @@ class TestMirrorScan:
 
     @pytest.mark.parametrize("dim", [8, 9])
     def test_sigma_search_is_linear(self, dim, monkeypatch):
-        # Ladder heights fall in one binade per antipodal class, so each
-        # class forms its own group: about n / 2 height comparisons and
-        # d merges per class.
+        # Each point finds its image by the residues of its values: one
+        # exact height comparison and d - 1 merges per antipodal class,
+        # none for a point that its partner has already paired.
         cube = construct_acute_cube(ConstructionConfig(dim=dim))[0]
         pts = list(cube.points) + [apex_point(dim)]
         calls = {"cmp": 0, "merge": 0}
@@ -1182,9 +1194,9 @@ class TestMirrorScan:
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
     def test_sigma_equals_the_brute_force_one(self, dim):
-        # An unperturbed cube has every height at 0, so its points fall in
-        # one height group and are bucketed by their other coordinates; a
-        # ladder set's antipodal classes form groups of two.
+        # An unperturbed cube has every height at 0, so only its other
+        # coordinates' residues tell its points apart; a ladder set's
+        # heights differ between antipodal classes.
         sets = [hypercube_vertices(dim).points + (apex_point(dim),)]
         if dim >= 5:
             sets.append(construct_full(ConstructionConfig(dim=dim))[0].points)
@@ -1193,9 +1205,9 @@ class TestMirrorScan:
             assert sigma is not None and sigma == self.brute_sigma(pts)
 
     def test_cube_point_without_an_image_has_no_sigma(self):
-        # 3/2 keeps the sign and binade of the 1 it replaces, so the point
-        # stays in its bucket, and its antipode finds it there and must
-        # compare it exactly; the image of 3/2 is -1/2, in no bucket.
+        # With 3/2 in place of a 1, the point's antipode finds no point
+        # under its image's residues, and no point holds -1/2, the image
+        # of 3/2.
         pts = [list(p) for p in hypercube_vertices(5).points]
         assert pts[8][:4] == [1, 0, 0, 0]
         pts[8][0] = F(3, 2)
@@ -1206,14 +1218,29 @@ class TestMirrorScan:
         assert ExactGram(pts)._sigma == self.brute_sigma(pts)
 
     def test_cancelling_zero_height_beside_a_fraction_zero(self):
-        # Non-empty terms that sum to 0 have no binade: the search must key
-        # by sign first and still pair the two zero heights.
+        # Non-empty terms that sum to 0 have the residue of 0, so the
+        # search must still pair the two zero heights.
         zero = Dyadic([(0, 1), (-1, -2)])
         assert zero.terms and zero.sign() == 0
         pts = [(F(0), zero), (F(1), F(0)), (F(1, 2), F(3))]
         assert ExactGram(pts)._sigma == [1, 0, 2]
         oracle = [[Dyadic.of(x) for x in p] for p in pts]
         assert self.check(pts, oracle) == 2
+
+    @pytest.mark.parametrize("a, b", [(F(1, 4), F(3, 4)), (F(1, 3), F(2, 3))])
+    def test_residue_collisions_are_compared_exactly(self, a, b):
+        # b + P and a - P have the residues of b and a, so each point at
+        # height 1 finds two candidates under its image's key, and only
+        # the exact check tells them apart; 1/3 and 2/3 scale by m = 3.
+        p = sys.hash_info.modulus
+        pts = [(b + p, F(1)), (a, F(1)), (a - p, F(1)), (b, F(1)),
+               (F(0), F(0)), (F(1), F(0)), (F(1, 2), F(3))]
+        assert ExactGram(pts)._sigma == self.brute_sigma(pts) == [
+            2, 3, 0, 1, 5, 4, 6]
+        assert self.check(pts, pts) == 4
+        del pts[2]
+        assert ExactGram(pts)._sigma is None
+        assert self.check(pts, pts) == len(pts)
 
     def test_equal_heights_in_different_terms_pair(self):
         tiny = Dyadic.pow2(-100_000)

@@ -462,6 +462,28 @@ class TestParseErrors:
         ps, _ = load_point_set(path)
         assert ps.points[1][0] == Dyadic.pow2(-int("9" * 123))
 
+    # Files that json and csv refuse with errors other than ValueError:
+    # 200 000 nested brackets (RecursionError), and a field longer than
+    # csv's field limit (csv.Error).
+    HOSTILE = {
+        "deep.json": ('{"backend":"rational","dim":2,"points":'
+                      + "[" * 200_000 + "]" * 200_000 + "}"),
+        "long.csv": "x0,x1\n" + "1" * 200_000 + ",1\n",
+    }
+
+    @pytest.mark.parametrize("name", HOSTILE)
+    def test_hostile_file_is_a_parse_error(self, tmp_path, capsys, name):
+        p = tmp_path / name
+        p.write_text(self.HOSTILE[name])
+        with pytest.raises(ParseError):
+            load_point_set(p)
+        assert main(["verify", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_point_set(tmp_path / "absent.json")

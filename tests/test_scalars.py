@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,21 @@ class TestHashAndShortcuts:
                    + [(e0 + 1, c0), (e0, -2 * c0)])
         assert x == y and hash(x) == hash(y)
         assert -x == -y and hash(-x) == hash(-y) == hash(-x.to_fraction())
+
+    @given(st.one_of(dyadic_terms, gap_terms), st.integers(1, 70),
+           st.integers(-48_040, 40), st.integers(-50, 50))
+    @example([(-100, 3), (-7, -1)], 1, -200, 5)     # negative exponents
+    @example([(0, 1), (-1, -2)], 3, 0, 1)           # terms that cancel to 0
+    @settings(max_examples=200, deadline=None)
+    def test_residue_is_the_value_mod_p(self, terms, k, e0, c0):
+        # The same value in other terms, as in the hash test above.
+        x = Dyadic(terms)
+        y = Dyadic([(e - k, c << k) for e, c in terms]
+                   + [(e0 + 1, c0), (e0, -2 * c0)])
+        f = x.to_fraction()
+        p = sys.hash_info.modulus
+        assert x.residue() == y.residue() == (
+            f.numerator * pow(f.denominator, -1, p) % p)
 
     def test_one_in_other_terms(self):
         for x in (Dyadic([(-1, 2)]), Dyadic([(1, 1), (0, -1)])):

@@ -7,7 +7,7 @@ import pytest
 from acuta import (ConstructionConfig, PointSet, apex_point,
                    construct_acute_cube, construct_full,
                    ef_bound, fibonacci, hard_cap, hypercube_vertices,
-                   legacy_bounds, safe_radius, set_margin, target_size,
+                   legacy_bounds, set_margin, target_size,
                    verify_acute, verify_antipodal_witness,
                    verify_cardinality_bounds, verify_nonobtuse)
 from acuta.geometry import ExactGram, FloatGram, kernel
@@ -142,33 +142,9 @@ class TestToleranceHandling:
         assert verify_nonobtuse(ps).verdict == nonobtuse
         assert verify_antipodal_witness(ps).verdict == acute
 
-    @pytest.mark.parametrize("check", [verify_acute, verify_nonobtuse,
-                                       verify_antipodal_witness])
-    def test_overflowing_float_diameter_rejected(self, check):
-        # Every coordinate is finite, but the squared diameter is not, and
-        # neither would be the strict margin 1e-9 * (1 + squared diameter).
-        ps = PointSet(dim=2, backend="float64",
-                      points=((0.0, 0.0), (1e200, 0.0), (0.0, 1e200)))
-        with pytest.raises(ValueError, match="squared diameter is inf"):
-            check(ps)
-
-    def test_safe_radius_refuses_an_overflowing_float_diameter(self):
-        # The radius divides by the diameter's integer square root, which
-        # an infinite squared diameter has none of: the same refusal.
-        ps = PointSet(dim=2, backend="float64",
-                      points=((0.0, 0.0), (1e200, 0.0), (0.5, 3.0)))
-        with pytest.raises(ValueError, match="squared diameter is inf"):
-            safe_radius(ps, 1.0)
-
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             verify_acute(UNIT_SQUARE, mode="fuzzy")
-
-    def test_too_few_points_rejected(self):
-        tiny = PointSet(dim=2, points=((F(0), F(0)), (F(1), F(0))),
-                        backend="rational")
-        with pytest.raises(ValueError):
-            verify_acute(tiny)
 
 
 class TestThreadDeterminism:
