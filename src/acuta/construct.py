@@ -278,14 +278,17 @@ def safe_radius(ps: PointSet, margin: RawScalar) -> RawScalar:
     if not margin > 0:
         raise ValueError(f"safe_radius needs a positive margin, got {margin}")
     sqd = _finite_sqdiam(squared_diameter(ps))
+    if ps.backend == RATIONAL or isinstance(margin, Dyadic):
+        margin = as_exact(margin)       # as an exact sqd already is
     if isinstance(sqd, Dyadic) or isinstance(margin, Dyadic):
-        # 2**(2h) >= sqd because sqd < 2**(floor_log2(sqd) + 1).
-        h = max(0, (Dyadic.of(sqd).floor_log2() + 2) // 2)
-        return as_exact(min(Dyadic.of(margin) * Dyadic.pow2(-h - 3),
-                            Dyadic.pow2(0)))
+        # 2**(2h) > sqd for f = floor(log2 sqd), or -1 for a Fraction < 1.
+        f = (sqd.floor_log2() if isinstance(sqd, Dyadic)
+             else int(sqd).bit_length() - 1)
+        h = max(0, (f + 2) // 2)
+        return as_exact(min(margin * Dyadic.pow2(-h - 3), Dyadic.pow2(0)))
     dhat = _ceil_sqrt_int(sqd)
     if ps.backend == RATIONAL:
-        return min(Fraction(1), Fraction(margin) / (2 * (2 * dhat + 1)))
+        return min(Fraction(1), margin / (2 * (2 * dhat + 1)))
     return min(1.0, float(margin) / (2 * (2 * dhat + 1)))
 
 

@@ -834,11 +834,12 @@ class FloatGram(_Kernel):
     the points sit far from the origin compared with the set's diameter.
     Raw values are the float values themselves.
 
-    :meth:`min_dots` takes one BLAS product ``diffs @ diffs.T`` per apex
-    and reduces it in place over its strict upper triangle, the apex's
-    row and column set to inf; :meth:`max_sqdist` takes the squared
-    distances a block of rows at a time, each square summed over the
-    contiguous last axis as a single row's would be. Neither gathers
+    :meth:`min_dots` takes the plain minimum of each apex q's product
+    ``diffs @ diffs.T``, row q, column q and the diagonal at inf; numpy
+    forms it symmetric bit for bit (``syrk`` mirrors a triangle; without
+    BLAS both orders sum the same products). :meth:`max_sqdist` takes
+    the squared distances a block of rows at a time, each square summed
+    over the contiguous last axis as a single row's is. Neither gathers
     entries per apex or loops per row, and every value keeps its bits.
     """
 
@@ -873,14 +874,13 @@ class FloatGram(_Kernel):
     def min_dots(self, apexes: Sequence[int]):
         """As :meth:`ExactGram.min_dots`, one apex at a time in numpy."""
         arr, n = self.arr, self.n
-        upper = np.triu(np.ones((n, n), dtype=bool), 1)
         best, args = None, []
         for q in apexes:
             diffs = arr - arr[q]
             g = diffs @ diffs.T
             g[q, :] = g[:, q] = np.inf
-            m = float(np.minimum.reduce(g, axis=None, where=upper,
-                                        initial=np.inf))
+            np.fill_diagonal(g, np.inf)
+            m = float(g.min())
             if best is None or m < best:
                 best, args = m, []
             if m == best:

@@ -60,6 +60,16 @@ class TestHypercube:
         with pytest.raises(ValueError):
             hypercube_vertices(1)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: perturb_vertex((F(0),), F(1, 10)), "d >= 2"),
+        (lambda: lemma_check(1, F(1, 10)), "need d >= 2, got 1"),
+        (lambda: apex_point(1), "need d >= 2, got 1"),
+        (lambda: random_baseline(1), "need dim >= 2, got 1"),
+    ], ids=["perturb_vertex", "lemma_check", "apex_point", "random_baseline"])
+    def test_every_builder_refuses_d1(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_float_backend(self):
         ps = hypercube_vertices(3, backend="float64")
         assert ps.points[3] == (1.0, 1.0, 0.0)
@@ -153,6 +163,33 @@ class TestSafeRadius:
         with pytest.raises(ValueError):
             safe_radius(ps, F(0))
 
+    # Squared diameters 37/36 and 37/324, neither of them dyadic.
+    THIRDS = ((0, 0), (F(1, 3), 0), (F(1, 6), 1))
+    NINTHS = ((0, 0), (F(1, 9), 0), (F(1, 18), F(1, 3)))
+    TINY = Dyadic.pow2(-10 ** 8)
+
+    @pytest.mark.parametrize("points, margin, radius", [
+        # The d = 6 ladder's values are too large for a Fraction, so any
+        # margin takes the power-of-two bound: h = 2, margin / 2**5.
+        (None, F(1, 3), F(1, 96)),
+        (None, F(1, 4), F(1, 128)),
+        # A Dyadic that fits is the Fraction of its value: Dhat = 2.
+        (THIRDS, Dyadic.pow2(-10), F(1, 10240)),
+        (THIRDS, F(1, 1024), F(1, 10240)),
+        # A margin too large for a Fraction: h = 1 above 1, h = 0 below.
+        (THIRDS, TINY, Dyadic.pow2(-10 ** 8 - 4)),
+        (NINTHS, TINY, Dyadic.pow2(-10 ** 8 - 3)),
+    ], ids=["d6-third", "d6-quarter", "thirds-dyadic", "thirds-fraction",
+            "thirds-tiny", "ninths-tiny"])
+    def test_non_dyadic_values_beside_dyadic_ones(self, points, margin,
+                                                  radius):
+        if points is None:
+            ps = construct_full(ConstructionConfig(dim=6))[0]
+        else:
+            ps = PointSet(dim=2, points=points, backend="rational")
+        r = safe_radius(ps, margin)
+        assert r == radius and type(r) is type(radius)
+
     def test_dyadic_ladder_set_d6(self):
         # Squared diameter and margin of the d = 6 ladder are Dyadic values
         # no Fraction can hold; the radius must still satisfy the bound
@@ -230,6 +267,12 @@ class TestTraceValidation:
             ConstructionTrace(dim=3, backend="rational",
                               steps=(mk(0, "1/10", "1/20"),
                                      mk(1, "1/5", "1/10")))
+
+    def test_eps_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="negative eps in step 1"):
+            ConstructionTrace(dim=2, backend="rational",
+                              steps=(TraceStep(index=0, eps=F(0)),
+                                     TraceStep(index=1, eps=F(-1))))
 
     def test_vertex_order_must_be_permutation(self):
         mk = lambda i: TraceStep(index=i, eps=F(0), s=F(0))

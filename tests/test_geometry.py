@@ -85,6 +85,16 @@ class TestBasics:
         with pytest.raises(GeometryError):
             PointSet(dim=2, points=((0.0, math.inf),), backend="float64")
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: PointSet(dim=0, points=(), backend="rational"),
+         "dim must be >= 1, got 0"),
+        (lambda: rat_ps((0, 0), (1, 1)).as_array(),
+         r"as_array\(\) requires the float64 backend"),
+    ], ids=["dim-0", "exact-as_array"])
+    def test_public_refusals(self, call, message):
+        with pytest.raises(GeometryError, match=message):
+            call()
+
     def test_witness_indices_distinct(self):
         with pytest.raises(GeometryError):
             TripleWitness(1, 1, 2, F(0))
@@ -1276,10 +1286,10 @@ def _eighths(seed, n, dim, offset=0.0, span=16):
 
 
 class TestFloatGram:
-    """``FloatGram`` reduces each apex's product in place and takes the
-    diameter a block of rows at a time. On sets whose arithmetic is exact
-    its minimum, witnesses and diameter equal the naive loops bit for
-    bit."""
+    """``FloatGram`` takes each apex's minimum from its whole symmetric
+    product and the diameter a block of rows at a time. On sets whose
+    arithmetic is exact its minimum, witnesses and diameter equal the
+    naive loops bit for bit."""
 
     @staticmethod
     def sets():
@@ -1306,6 +1316,29 @@ class TestFloatGram:
             assert gram.max_sqdist() == naive_sqdiam(pts)
             ties += len(every) > 1
         assert ties >= 10
+
+    def test_every_product_is_bitwise_symmetric(self):
+        # min_dots reads each angle from the whole product, so the lower
+        # triangle must repeat the upper one bit for bit; the uint64 view
+        # tells signed zeros and NaN payloads apart.
+        overflowing = [(1e308, 0.0), (-1e308, 0.0), (0.0, 1e308),
+                       (1.0, -1e308)]
+        sets = [np.asarray(pts, dtype=np.float64)
+                for pts in self.sets() + [overflowing]]
+        rng = np.random.default_rng(5)
+        sets += [rng.standard_normal((n, dim)) + offset
+                 for n, dim, offset in itertools.product(
+                     (3, 4, 9, 17, 64, 129, 257, 513), range(2, 13),
+                     (0.0, 1e7))]
+        checked = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for arr in sets:
+                for q in {0, len(arr) // 2, len(arr) - 1}:
+                    diffs = arr - arr[q]
+                    bits = (diffs @ diffs.T).view(np.uint64)
+                    assert np.array_equal(bits, bits.T)
+                    checked += 1
+        assert checked > 500
 
     @pytest.mark.parametrize("block", [None, 7, 1000])
     def test_diameter_over_many_blocks(self, block, monkeypatch):

@@ -297,6 +297,17 @@ class TestCsv:
         with pytest.raises(ParseError):
             load_point_set(p)
 
+    def test_blank_row_is_skipped(self, tmp_path):
+        p = tmp_path / "set.csv"
+        p.write_text("x0,x1\n0,0\n\n1,0\n0,1\n")
+        loaded, _ = load_point_set(p)
+        assert loaded.points == ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+
+    def test_unknown_format_rejected(self, tmp_path):
+        ps, _, _ = construct_full(ConstructionConfig(dim=2))
+        with pytest.raises(ValueError, match="unknown format"):
+            save_point_set(tmp_path / "set.xml", ps, fmt="xml")
+
 
 class TestParseErrors:
     @pytest.mark.parametrize("mutate", [
@@ -462,13 +473,25 @@ class TestParseErrors:
         ps, _ = load_point_set(path)
         assert ps.points[1][0] == Dyadic.pow2(-int("9" * 123))
 
-    # Files that json and csv refuse with errors other than ValueError:
-    # 200 000 nested brackets (RecursionError), and a field longer than
-    # csv's field limit (csv.Error).
+    # Files the reader refuses. The first two fail inside json and csv
+    # with errors other than ValueError: 200 000 nested brackets
+    # (RecursionError), and a field longer than csv's field limit
+    # (csv.Error).
     HOSTILE = {
         "deep.json": ('{"backend":"rational","dim":2,"points":'
                       + "[" * 200_000 + "]" * 200_000 + "}"),
         "long.csv": "x0,x1\n" + "1" * 200_000 + ",1\n",
+        "empty.csv": "",
+        "short-row.csv": "x0,x1\n0,0\n1\n0,1\n",
+        "word.csv": "x0,x1\n0,0\n1,abc\n0,1\n",
+        "inf.csv": "x0,x1\n0,0\n1,inf\n0,1\n",
+        "nan.csv": "x0,x1\nnan,1\n0,0\n0,1\n",
+        "duplicate.csv": "x0,x1\n0,0\n1,0\n1,0\n",
+        **{f"{name}.json": ('{"backend":"float64","dim":2,"points":'
+                            f'[[0,0],[1,{x}],[0,1]]}}')
+           for name, x in [("string", '"0"'), ("true", "true"),
+                           ("1e400", "1e400"), ("400-digits", "9" * 400)]},
+        "array.json": '[{"backend":"float64","dim":1,"points":[[0]]}]',
     }
 
     @pytest.mark.parametrize("name", HOSTILE)
@@ -646,6 +669,10 @@ class TestCli:
         assert main(["baseline", "3", "--trials", "50"]) == 0
         out = capsys.readouterr().out
         assert "points=" in out and "target=17" not in out
+
+    def test_baseline_of_two_points_has_no_margin(self, capsys):
+        assert main(["baseline", "2", "--trials", "1"]) == 0
+        assert capsys.readouterr().out == "points=1 target=3 margin=n/a\n"
 
     def test_bad_usage_exits_2(self):
         with pytest.raises(SystemExit) as exc:

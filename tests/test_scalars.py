@@ -56,6 +56,24 @@ class TestDyadicAgainstFraction:
         assert (a < q, a == q, a > q) == (fa < q, fa == q, fa > q)
         assert a + q == fa + q
 
+    @pytest.mark.parametrize("op", [
+        lambda a, q: a - q, lambda a, q: q - a, lambda a, q: a * q,
+        lambda a, q: q * a,
+    ], ids=["dyadic-minus", "minus-dyadic", "dyadic-times", "times-dyadic"])
+    def test_non_dyadic_fractions_fall_back_to_fractions(self, op):
+        a, fa = dyadic_value([(3, 5), (-4, -1)])
+        q = Fraction(1, 3)
+        r = op(a, q)
+        assert type(r) is Fraction and r == op(fa, q)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Dyadic.of(Fraction(1, 3)), "not a dyadic rational"),
+        (lambda: Dyadic().floor_log2(), "log2 of zero"),
+    ], ids=["of-a-third", "floor_log2-of-zero"])
+    def test_refusals(self, call, message):
+        with pytest.raises(ScalarError, match=message):
+            call()
+
     @given(dyadic_terms)
     @settings(max_examples=100)
     def test_floor_log2(self, t):
