@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from acuta import ConstructionConfig, ConstructionError, construct_full
 from acuta import lemma_check
-from acuta.cli import _fmt_margin as fmt_margin
+from acuta.scalars import brief
 
 
 def main():
@@ -30,7 +30,7 @@ def main():
                 ps, _trace, report = construct_full(cfg)
                 el = time.perf_counter() - t0
                 print(f"d={d} {backend:8s}: "
-                      f"n={len(ps)} margin={fmt_margin(report.margin)} "
+                      f"n={len(ps)} margin={brief(report.margin)} "
                       f"({el:.2f}s)")
             except ConstructionError as exc:
                 el = time.perf_counter() - t0

@@ -27,13 +27,9 @@ d = 11 and above are refused: at d = 11 the exact certificate covers
 import argparse
 import time
 
-from acuta import ConstructionConfig, Dyadic, construct_full, save_point_set
+from acuta import ConstructionConfig, construct_full, save_point_set
 from acuta._designs import ladder_ks
-
-
-def binary_exponent(x) -> int:
-    """floor(log2 |x|) of a nonzero dyadic value (Fraction or Dyadic)."""
-    return Dyadic.of(x).floor_log2()
+from acuta.scalars import floor_log2
 
 
 def main():
@@ -53,12 +49,12 @@ def main():
     t_build = time.perf_counter() - t0
 
     print(f"\npoints: {len(ps)}")
-    print(f"margin: positive, ~2^{binary_exponent(report.margin)}")
+    print(f"margin: positive, ~2^{floor_log2(report.margin)}")
     print(f"witness: {report.witness.indices()}")
     print(f"triples checked: {report.triples_checked}")
     print(f"build+certify: {t_build:.2f}s (certify {report.elapsed:.2f}s)")
-    print(f"displacement bounds: first ~2^{binary_exponent(trace.steps[0].eps)}, "
-          f"last ~2^{binary_exponent(trace.steps[-1].eps)}")
+    print(f"displacement bounds: first ~2^{floor_log2(trace.steps[0].eps)}, "
+          f"last ~2^{floor_log2(trace.steps[-1].eps)}")
 
     if args.out:
         save_point_set(args.out, ps, fmt="json", trace=trace)

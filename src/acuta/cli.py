@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -19,7 +18,7 @@ from .construct import (ConstructionConfig, ConstructionError, construct_full,
                         random_baseline)
 from .pointset_io import (dumps_canonical, render_coord, save_point_set,
                           load_point_set)
-from .scalars import FLOAT64, RATIONAL, Dyadic
+from .scalars import FLOAT64, RATIONAL, brief
 from .verify import (hard_cap, legacy_bounds, target_size, verify_acute,
                      verify_antipodal_witness, verify_nonobtuse)
 
@@ -27,30 +26,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PREDICATE = 3
 EXIT_CONSTRUCTION = 4
-
-
-def _fmt_margin(margin) -> str:
-    if isinstance(margin, Dyadic):
-        # Reported values pass through as_exact, so a margin is Dyadic only
-        # when no Fraction can hold it. (Coordinates follow PointSet's
-        # set-level rule: a set holding such a value keeps every Dyadic
-        # coordinate sparse, even those a Fraction could hold.)
-        e = margin.floor_log2()
-        return f"exact>0 (~2^{e})" if margin > 0 else f"exact<0 (~-2^{e})"
-    if isinstance(margin, Fraction):
-        try:
-            approx = float(margin)
-        except OverflowError:
-            approx = None
-        if (approx == 0.0 or approx is None) and margin != 0:
-            # Beyond float range either way: report floor(log2 |p/q|).
-            e = margin.numerator.bit_length() - margin.denominator.bit_length()
-            e -= abs(margin) < Fraction(2) ** e
-            return f"exact>0 (~2^{e})" if margin > 0 else f"exact<0 (~-2^{e})"
-        if margin.numerator.bit_length() + margin.denominator.bit_length() <= 140:
-            return f"{margin.numerator}/{margin.denominator} ({approx:.6g})"
-        return f"{approx:.6g}"
-    return f"{float(margin):.6g}"
 
 
 def _report_obj(report) -> dict:
@@ -100,7 +75,7 @@ def cmd_generate(args) -> int:
             save_point_set(args.out, ps, fmt="csv")
         else:
             save_point_set(args.out, ps, fmt="json", trace=trace)
-    print(f"points={len(ps)} margin={_fmt_margin(report.margin)} "
+    print(f"points={len(ps)} margin={brief(report.margin)} "
           f"elapsed={report.elapsed:.3f}s")
     return EXIT_OK if report.verdict else EXIT_PREDICATE
 
@@ -123,6 +98,10 @@ def cmd_verify(args) -> int:
 def cmd_table(args) -> int:
     if args.dmin < 2 or args.dmax < args.dmin:
         raise ValueError("need 2 <= dmin <= dmax")
+    limit = sys.get_int_max_str_digits()        # 0: no limit
+    if limit and args.dmax >= (10 ** limit).bit_length():
+        raise ValueError(f"dmax {args.dmax}: 2^dmax-1 has more than {limit} "
+                         "digits, Python's limit for printing an int")
     print("d | 2^(d-1)+1 | 2^d-1 | fib(d+2) | half-exp | 2d-1 | 3^(d/2-1)-1")
     for d in range(args.dmin, args.dmax + 1):
         legacy = legacy_bounds(d)
@@ -136,11 +115,7 @@ def cmd_table(args) -> int:
 def cmd_baseline(args) -> int:
     ps = random_baseline(args.dim, trials=args.trials, seed=args.seed)
     n = len(ps)
-    if n >= 3:
-        report = verify_acute(ps)
-        margin = _fmt_margin(report.margin)
-    else:
-        margin = "n/a"
+    margin = brief(verify_acute(ps).margin) if n >= 3 else "n/a"
     print(f"points={n} target={target_size(args.dim)} margin={margin}")
     return EXIT_OK
 

@@ -41,7 +41,8 @@ import numpy as np
 from . import _designs
 from .geometry import (GeometryError, Point, PointSet, _finite_sqdiam,
                        dot_at_apex, kernel, squared_diameter)
-from .scalars import FLOAT64, RATIONAL, Backend, Dyadic, RawScalar, as_exact
+from .scalars import (FLOAT64, RATIONAL, Backend, Dyadic, RawScalar, as_exact,
+                      brief, floor_log2)
 
 __all__ = [
     "ConstructionError",
@@ -276,15 +277,14 @@ def safe_radius(ps: PointSet, margin: RawScalar) -> RawScalar:
     margin * 2**-(h + 3), since 2 (2 Dhat + 1) <= 2**(h + 3).
     """
     if not margin > 0:
-        raise ValueError(f"safe_radius needs a positive margin, got {margin}")
+        raise ValueError(f"safe_radius needs a positive margin, got "
+                         f"{brief(margin)}")
     sqd = _finite_sqdiam(squared_diameter(ps))
     if ps.backend == RATIONAL or isinstance(margin, Dyadic):
         margin = as_exact(margin)       # as an exact sqd already is
     if isinstance(sqd, Dyadic) or isinstance(margin, Dyadic):
-        # 2**(2h) > sqd for f = floor(log2 sqd), or -1 for a Fraction < 1.
-        f = (sqd.floor_log2() if isinstance(sqd, Dyadic)
-             else int(sqd).bit_length() - 1)
-        h = max(0, (f + 2) // 2)
+        # 2**(2h) > sqd: 2h >= floor(log2 sqd) + 1, or h = 0 below 1.
+        h = (floor_log2(sqd) + 2) // 2 if sqd >= 1 else 0
         return as_exact(min(margin * Dyadic.pow2(-h - 3), Dyadic.pow2(0)))
     dhat = _ceil_sqrt_int(sqd)
     if ps.backend == RATIONAL:
@@ -483,8 +483,8 @@ def construct_full(cfg: ConstructionConfig):
     report = verify_acute(full)
     if not report.verdict:
         w = report.witness.indices() if report.witness else None
-        raise ConstructionError(
-            f"final certification failed: margin {report.margin} at {w}")
+        raise ConstructionError(f"final certification failed: margin "
+                                f"{brief(report.margin)} at {w}")
     return full, trace, report
 
 

@@ -117,7 +117,7 @@ class Dyadic:
     value fits :data:`FRACTION_BITS`; comparisons never need that fallback.
     """
 
-    __slots__ = ("terms", "mass", "_hash")
+    __slots__ = ("terms", "mass", "_hash", "_residue")
 
     def __init__(self, terms=()):
         acc: dict = {}
@@ -128,7 +128,7 @@ class Dyadic:
     def _set(self, terms: tuple) -> None:
         self.terms = terms              # (e, c), e descending, c != 0
         self.mass = sum(abs(c) for _, c in terms)
-        self._hash = None               # computed on first use
+        self._hash = self._residue = None   # computed on first use
 
     @classmethod
     def _of_acc(cls, acc: dict) -> "Dyadic":
@@ -153,20 +153,6 @@ class Dyadic:
 
     def sign(self) -> int:
         return _sign(self.terms, self.mass)
-
-    def floor_log2(self) -> int:
-        """floor(log2 |x|), exactly; ScalarError for zero."""
-        t = self.terms
-        r, cur, idx = _lead(t) if t else (0, 0, 0)
-        if r == 0:
-            raise ScalarError("log2 of zero")
-        m = abs(r)
-        f = m.bit_length() - 1 + cur
-        # |x| lies within half a unit of m * 2**cur; only a power of two
-        # pulled down by a tail of the opposite sign drops a binade.
-        if m & (m - 1) == 0 and _sign(t[idx:]) == -_sign(t):
-            f -= 1
-        return f
 
     def fits_fraction(self) -> bool:
         t = self.terms
@@ -305,7 +291,10 @@ class Dyadic:
         """The value mod P = ``sys.hash_info.modulus``, in [0, P): equal
         values have equal residues, whatever their terms. P is a Mersenne
         prime 2**k - 1, so 2**e reduces to 2**(e mod k) for any e."""
-        return sum(c << (e % _HASH_K) for e, c in self.terms) % _HASH_P
+        if self._residue is None:
+            self._residue = sum(c << (e % _HASH_K)
+                                for e, c in self.terms) % _HASH_P
+        return self._residue
 
     def __hash__(self) -> int:
         # Python hashes a rational x as |x| mod P, negated for x < 0.
@@ -361,6 +350,42 @@ def as_exact(x) -> Union[Fraction, Dyadic]:
     if isinstance(x, Dyadic):
         return x.to_fraction() if x.fits_fraction() else x
     return x if type(x) is Fraction else Fraction(x)
+
+
+def floor_log2(x) -> int:
+    """floor(log2 |x|) of an int, float, Fraction or Dyadic, exactly;
+    ScalarError for zero."""
+    if isinstance(x, Dyadic):
+        # x = r 2**cur + tail with |tail| < 2**(cur - 1) (see _lead), so |x|
+        # lies in the binade of |4r + sign(tail)| 2**(cur - 2).
+        r, cur, idx = _lead(x.terms)
+        p, q, f = 4 * r + _sign(x.terms[idx:]), 1, cur - 2
+    else:
+        (p, q), f = x.as_integer_ratio(), 0
+    if not p:
+        raise ScalarError("log2 of zero")
+    p = abs(p)
+    e = p.bit_length() - q.bit_length()
+    return f + e - (p < q << e if e >= 0 else p << -e < q)
+
+
+def brief(x) -> str:
+    """x in one line: "p/q (approx)" for a Fraction of at most 140 bits, 6
+    digits for another value a float holds, and its sign and binary scale,
+    "exact>0 (~2^e)", beyond; so too a Dyadic that no Fraction holds."""
+    if isinstance(x, Dyadic):
+        x = as_exact(x)
+    try:
+        approx = None if isinstance(x, Dyadic) else float(x)
+    except OverflowError:
+        approx = None
+    if x and not approx:
+        e = floor_log2(x)
+        return f"exact>0 (~2^{e})" if x > 0 else f"exact<0 (~-2^{e})"
+    if isinstance(x, Fraction) and (
+            x.numerator.bit_length() + x.denominator.bit_length() <= 140):
+        return f"{x.numerator}/{x.denominator} ({approx:.6g})"
+    return f"{approx:.6g}"
 
 
 RawScalar = Union[Fraction, Dyadic, float]

@@ -163,6 +163,12 @@ class TestSafeRadius:
         with pytest.raises(ValueError):
             safe_radius(ps, F(0))
 
+    def test_refusal_names_a_margin_below_the_float_range(self):
+        ps, _, report = construct_full(ConstructionConfig(dim=5))
+        with pytest.raises(ValueError, match=re.escape(
+                "needs a positive margin, got exact<0 (~-2^-16031)")):
+            safe_radius(ps, -report.margin)
+
     # Squared diameters 37/36 and 37/324, neither of them dyadic.
     THIRDS = ((0, 0), (F(1, 3), 0), (F(1, 6), 1))
     NINTHS = ((0, 0), (F(1, 9), 0), (F(1, 18), F(1, 3)))
@@ -490,6 +496,27 @@ class TestAdaptive:
         with pytest.raises(ConstructionError,
                            match=rf"guard failed: \|x_0 - x_1\|\^2 = {shown} "):
             construct_full(cfg)
+
+    @pytest.mark.parametrize("d, text", [
+        (3, "-50175902093/65536 (-765624) at (0, 1, 4)"),
+        (5, "-124999 at (0, 8, 16)"),
+        (6, "exact<0 (~-2^17) at (0, 16, 32)"),
+    ])
+    def test_failed_certification_names_its_margin(self, d, text):
+        # A tall apex fails the final certificate. The d = 5 margin has too
+        # many digits for str() and the d = 6 one is a Dyadic, so the
+        # refusal names each as the CLI's summary line does.
+        with pytest.raises(ConstructionError) as exc:
+            construct_full(ConstructionConfig(dim=d, apex_height=10 ** 6))
+        assert str(exc.value) == f"final certification failed: margin {text}"
+
+    def test_cli_refuses_a_failed_construction_in_one_line(self, capsys):
+        assert main(["generate", "5", "--apex-height", "1000000"]) == (
+            EXIT_CONSTRUCTION)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: final certification failed: "
+                                "margin -124999 at (0, 8, 16)\n")
 
 
 class TestLadderBuild:

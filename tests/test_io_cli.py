@@ -13,12 +13,12 @@ from acuta import (ConstructionConfig, Dyadic, ParseError, PointSet,
                    construct_acute_cube, construct_full, load_point_set,
                    save_point_set, set_margin, verify_acute)
 from acuta import cli
-from acuta.cli import _fmt_margin, _report_obj, main
+from acuta.cli import _report_obj, main
 from acuta.geometry import _digits, _odd
 from acuta.pointset_io import (_MAX_COORD_CHARS, _MAX_EXP_DIGITS, _MAX_TERMS,
                                _binary, _parse_coord, dumps_canonical,
                                point_set_to_obj, render_coord)
-from acuta.scalars import FRACTION_BITS, as_exact
+from acuta.scalars import FRACTION_BITS, as_exact, brief, floor_log2
 
 F = Fraction
 
@@ -665,6 +665,22 @@ class TestCli:
     def test_table_bad_range(self, capsys):
         assert main(["table", "6", "3"]) == 2
 
+    def test_table_refuses_rows_python_cannot_print(self, capsys):
+        # 2**14285 - 1 has 4301 digits, one past CPython's default limit:
+        # refused before the header, not after the rows below it.
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert main(["table", "14280", "14290"]) == 2
+            refused = capsys.readouterr()
+            assert main(["table", "14284", "14284"]) == 0
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert refused.out == "" and refused.err.count("\n") == 1
+        assert refused.err.startswith("error: dmax 14290: ")
+        row = capsys.readouterr().out.splitlines()[1].split(" | ")
+        assert len(row[2]) == 4300
+
     def test_baseline_runs(self, capsys):
         assert main(["baseline", "3", "--trials", "50"]) == 0
         out = capsys.readouterr().out
@@ -717,10 +733,15 @@ class TestCli:
         # The bit lengths' difference is one too high when |p| < q * 2**e.
         (F(1, 3 * 2 ** 2000), "exact>0 (~2^-2002)"),
         (F(2 ** 2000 + 1, 3), "exact>0 (~2^1998)"),
+        # Over 140 bits but inside the float range: the float alone.
+        (F(2 ** 200 + 1, 2 ** 200), "1"),
+        (-2.5, "-2.5"),
+        (10 ** 400, "exact>0 (~2^1328)"),
+        (-Dyadic.pow2(-10 ** 8), "exact<0 (~-2^-100000000)"),
     ])
     def test_fraction_margins_beyond_float_print_their_scale(self, margin,
                                                              text):
-        assert _fmt_margin(margin) == text
+        assert brief(margin) == text
 
     def test_generate_d8_json_verifies(self, tmp_path, capsys):
         # Exact sets with d >= 6 hold values no "p/q" can; the binary form
@@ -733,7 +754,7 @@ class TestCli:
         _, _, want = construct_full(ConstructionConfig(dim=8))
         margin = _parse_coord(got["margin"], "rational")
         assert margin == want.margin
-        assert margin.floor_log2() == want.margin.floor_log2()
+        assert floor_log2(margin) == floor_log2(want.margin)
         assert [got["witness"]["apex"], *got["witness"]["legs"]] == list(
             want.witness.indices())
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acuta import Dyadic, ScalarError
-from acuta.scalars import _Reduced, as_exact, head_split
+from acuta.scalars import _Reduced, as_exact, floor_log2, head_split
 
 
 dyadic_terms = st.lists(
@@ -68,20 +68,24 @@ class TestDyadicAgainstFraction:
 
     @pytest.mark.parametrize("call, message", [
         (lambda: Dyadic.of(Fraction(1, 3)), "not a dyadic rational"),
-        (lambda: Dyadic().floor_log2(), "log2 of zero"),
+        (lambda: floor_log2(Dyadic()), "log2 of zero"),
     ], ids=["of-a-third", "floor_log2-of-zero"])
     def test_refusals(self, call, message):
         with pytest.raises(ScalarError, match=message):
             call()
 
-    @given(dyadic_terms)
-    @settings(max_examples=100)
-    def test_floor_log2(self, t):
-        a, fa = dyadic_value(t)
-        if fa == 0:
-            return
-        e = a.floor_log2()
-        assert Fraction(2) ** e <= abs(fa) < Fraction(2) ** (e + 1)
+    @given(st.one_of(dyadic_terms.map(Dyadic), st.integers(), st.fractions(),
+                     st.floats(allow_nan=False, allow_infinity=False)))
+    @settings(max_examples=300)
+    def test_floor_log2(self, x):
+        # Exact for an int, float, Fraction or Dyadic; zero is refused.
+        f = x.to_fraction() if isinstance(x, Dyadic) else Fraction(x)
+        if f == 0:
+            with pytest.raises(ScalarError, match="log2 of zero"):
+                floor_log2(x)
+        else:
+            e = floor_log2(x)
+            assert Fraction(2) ** e <= abs(f) < Fraction(2) ** (e + 1)
 
     def test_sign_across_huge_gaps(self):
         one = Dyadic.pow2(0)
@@ -90,7 +94,7 @@ class TestDyadicAgainstFraction:
         assert (tiny - Dyadic.pow2(-10 ** 30 - 1)).sign() == 1
         assert (one - one + tiny).sign() == 1
         x = one - tiny
-        assert x.floor_log2() == -1 and (x - one).floor_log2() == -10 ** 30
+        assert floor_log2(x) == -1 and floor_log2(x - one) == -10 ** 30
         assert hash(tiny) == hash(Dyadic.pow2(-10 ** 30))
         assert tiny > 0 and tiny != 0
 
