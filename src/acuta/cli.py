@@ -29,18 +29,22 @@ EXIT_CONSTRUCTION = 4
 
 
 def _report_obj(report) -> dict:
+    margin = (None if report.margin is None
+              else render_coord(report.margin, decimal=True))
     witness = None
     if report.witness is not None:
+        dot = report.witness.dot_value
         witness = {
             "apex": report.witness.apex_index,
             "legs": [report.witness.leg_index_1, report.witness.leg_index_2],
-            "dot": render_coord(report.witness.dot_value, decimal=True),
+            # A witness carries the margin object itself: render it once.
+            "dot": (margin if dot is report.margin
+                    else render_coord(dot, decimal=True)),
         }
     return {
         "check": report.check,
         "verdict": report.verdict,
-        "margin": (None if report.margin is None
-                   else render_coord(report.margin, decimal=True)),
+        "margin": margin,
         "witness": witness,
         "triples_checked": report.triples_checked,
         "squared_diameter": render_coord(report.squared_diameter,

@@ -298,7 +298,8 @@ def _apex_height(d: int, c: Optional[RawScalar]) -> Fraction:
     c = Fraction(d, 2) if c is None else Fraction(c)
     if not 4 * c * c > d - 1:
         raise ValueError(
-            f"apex height {c} violates c^2 > (d-1)/4 (boundary included)")
+            f"apex height {brief(c)} violates c^2 > (d-1)/4 "
+            "(boundary included)")
     return c
 
 

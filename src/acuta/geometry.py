@@ -10,9 +10,10 @@ by :func:`kernel`. Exact sets use
 :class:`ExactGram`: every coordinate becomes a sparse :class:`Dyadic` (a
 Fraction set's scaled by the lcm of its denominators' odd parts), the Gram
 matrix is built once and each apex inner product is a 4-term sum of its
-entries. The build runs in rank space: every entry is a run of int64
-(rank of its exponent among all pair sums, coefficient) pairs formed in
-numpy, and only the entries an exact test touches become Dyadic objects.
+entries. The build runs in rank space: every entry is a run of (int32
+rank of its exponent among all pair sums, int64 coefficient) pairs formed
+in numpy a block at a time, and only the entries an exact test touches
+become Dyadic objects.
 Two filters settle most of the sums in numpy first, and only dots neither
 can decide reach the exact sparse sign test:
 
@@ -49,6 +50,7 @@ itself, and then scans one apex of each orbit (see :class:`ExactGram`).
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 import math
 import weakref
@@ -258,11 +260,16 @@ _LEAD_TERMS = 8
 _LEAD_MASS_BITS = 24
 _WORD = 1 << _LEAD_MASS_BITS + 1
 _BIAS = 1 << _LEAD_MASS_BITS
+# The ranking keeps each gap between neighbouring pair sums capped here,
+# above every C = bitlen(8M + 1) of a mass M < 2**24.
+_GAP_CAP = _LEAD_MASS_BITS + 4
 # A point is oversize when the coefficients of its coordinates' terms sum to
 # 2**31 or more in size: then its entries' coefficients may leave int64.
 _ROW_MASS_BITS = 31
-# Coefficient products the build forms at a time: 256 kB per int64 array,
-# which keeps the d = 8 build's peak (tracemalloc) near 4 MB.
+# Coefficient products the build forms at a time: 256 kB per int64 array.
+# The runs are kept in the blocks of entries that this gives, and the heads
+# and the leading-term table are formed a block at a time, so the d = 8
+# build's peak (tracemalloc) lies about 0.5 MB above what it keeps.
 _BLOCK = 1 << 15
 # Coordinate differences the float diameter forms at a time: 256 kB.
 _FLOAT_BLOCK = 1 << 15
@@ -340,6 +347,69 @@ def _runs_sum(x: np.ndarray, start: np.ndarray) -> np.ndarray:
     return (run[start[1:]] - run[start[:-1]]).view(np.int64)
 
 
+def _pair_sums(exps: list):
+    """Rank the pair sums exps[r] + exps[c] of the distinct ascending
+    ``exps`` among their distinct values. Returns the E x E int32 table of
+    ranks, and per distinct sum, ascending, the index pair (r, c), r <= c,
+    with the least r that gives it, as two int32 arrays, and its gap to
+    the sum below capped at _GAP_CAP (0 for the first), as uint8.
+
+    Row r, exps[r] + exps[c] for c >= r, ascends, so a heap merges the rows
+    with no sum held but each row's next. The popped row's sums below the
+    least next sum of the other rows, found by bisection, are all new and
+    distinct, and are ranked in one numpy step; on the ladder every row
+    comes out in a few such runs.
+    """
+    size = len(exps)
+    table = np.zeros((max(size, 1),) * 2, dtype=np.int32)
+    pairs = size * (size + 1) // 2
+    lo, hi = np.empty(pairs, np.int32), np.empty(pairs, np.int32)
+    gaps = np.zeros(pairs, np.uint8)
+    steps = np.array([min(b - a, _GAP_CAP) for a, b in zip(exps, exps[1:])],
+                     dtype=np.uint8)
+    heap = [(e + e, r, r) for r, e in enumerate(exps)]     # sorted: a heap
+    k, last = -1, None
+    while heap:
+        s, r, c = heap[0]
+        if s != last:
+            k += 1
+            lo[k], hi[k] = r, c
+            gaps[k] = 0 if last is None else min(s - last, _GAP_CAP)
+            last = s
+        table[r, c] = table[c, r] = k
+        end = size
+        if len(heap) > 1:
+            bound = min(x[0] for x in heap[1:3])
+            end = bisect.bisect_left(exps, bound - exps[r], c + 1)
+        if end > c + 1:
+            new = slice(k + 1, k + end - c)
+            table[r, c + 1:end] = table[c + 1:end, r] = np.arange(
+                new.start, new.stop, dtype=np.int32)
+            lo[new], hi[new] = r, np.arange(c + 1, end)
+            gaps[new] = steps[c:end - 1]
+            k += end - c - 1
+            last = exps[r] + exps[end - 1]
+        if end < size:
+            heapq.heapreplace(heap, (exps[r] + exps[end], r, end))
+        else:
+            heapq.heappop(heap)
+    return table, lo[:k + 1], hi[:k + 1], gaps[:k + 1]
+
+
+def _scratch(pool: Optional[dict], name: str, size: int, dtype=np.int64):
+    """The first ``size`` elements of ``pool[name]``, an array of ``dtype``
+    grown as needed, or a fresh array if ``pool`` is None. A scan keeps
+    one pool for all its calls: fresh arrays for each would cost page
+    faults whenever the allocator has handed the last call's memory back
+    to the system."""
+    arr = None if pool is None else pool.get(name)
+    if arr is None or arr.size < size:
+        arr = np.empty(size, dtype)
+        if pool is not None:
+            pool[name] = arr
+    return arr[:size]
+
+
 def _mirror(rows, m: Dyadic) -> Optional[list]:
     """The permutation sigma with p_sigma(i) = R(p_i) for every point, as a
     list, or None if some point has no image in the set. ``rows`` are the
@@ -412,14 +482,18 @@ class ExactGram(_Kernel):
     **Entries in rank space.** Every entry is a sparse :class:`Dyadic`, the
     sum of the coefficient products c1 * c2 * 2**(e1 + e2) of its two rows,
     equal exponents merged. The build never forms those sums as Python
-    objects. The distinct exponents e of the coordinate terms are ranked,
-    every pairwise sum e1 + e2 is ranked once among all of them (``_sums``,
-    ascending), and an E x E table maps two exponent ranks to the rank of
-    their sum. A block of entries at a time, numpy forms every product as
-    an int64 (sum rank, c1 * c2) pair, sorts each entry's pairs by rank
-    and sums equal ranks (``np.add.reduceat``); the nonzero sums are kept
-    as one run per entry of ``_ranks`` and ``_coefs``, the runs of the
-    lower triangle in row order. ``g`` is a read-only n-row view:
+    objects, nor a list of the pair sums e1 + e2. The distinct exponents e
+    of the coordinate terms are sorted (``_exps``), and a merge
+    (:func:`_pair_sums`) ranks their E(E + 1)/2 pairwise sums among the
+    distinct ones straight into an int32 E x E table. Each distinct sum is
+    kept as the index pair of two exponents (``_lo``, ``_hi``, int32), and
+    a sum is formed only where it is needed. A block of entries at a time
+    (``_BLOCK`` products), numpy forms every product as an (int32 sum rank,
+    int64 c1 * c2) pair, sorts each entry's pairs by rank and sums equal
+    ranks (``np.add.reduceat``); each block keeps the nonzero sums as one
+    run per entry, the runs of the lower triangle in row order
+    (``_blocks``), and the heads and the leading-term table are formed
+    from the runs a block at a time. ``g`` is a read-only n-row view:
     ``g[i][j]`` rebuilds the Dyadic of one entry from its run on first
     access and keeps it, with the terms that Dyadic arithmetic gives (every
     exponent's coefficients summed, zeros dropped). The scans rebuild only
@@ -524,7 +598,7 @@ class ExactGram(_Kernel):
                         for p in rows], dtype=bool)
         tri_i, tri_j = np.tril_indices(n)
         over = np.flatnonzero(big[tri_i] | big[tri_j]).tolist()
-        self._runs(rows, big, tri_i, tri_j)
+        gaps = self._runs(rows, big, tri_i, tri_j)
         self._kept = {k: sum((x * y for x, y in zip(rows[tri_i[k]],
                                                      rows[tri_j[k]])), Dyadic())
                       for k in over}
@@ -533,19 +607,18 @@ class ExactGram(_Kernel):
         top = max((sum(head_split(self._entry(i, i), 0)) for i in range(n)),
                   default=0)
         shift = self._shift = _HEAD_BITS - top.bit_length()
-        h, t = self._heads(shift)
+        heads, tails = self._heads(shift, tri_i, tri_j)
         for k in over:
-            h[k], t[k] = head_split(self._kept[k], shift)
-        heads = np.zeros((n, n), dtype=np.int64)
-        tails = np.zeros((n, n), dtype=np.int64)
-        heads[tri_i, tri_j] = heads[tri_j, tri_i] = h
-        tails[tri_i, tri_j] = tails[tri_j, tri_i] = t
+            i, j = tri_i[k], tri_j[k]
+            h, t = head_split(self._kept[k], shift)
+            heads[i, j] = heads[j, i] = h
+            tails[i, j] = tails[j, i] = t
         self.heads, self.tails = _frozen(heads), _frozen(tails)
         self.leads = None
         if tails.any():
             packable = np.ones(tri_i.size, dtype=bool)
             packable[over] = False
-            self.leads = self._lead_table(tri_i, tri_j, packable)
+            self.leads = self._lead_table(tri_i, tri_j, packable, gaps)
 
     @property
     def g(self) -> _Entries:
@@ -557,37 +630,33 @@ class ExactGram(_Kernel):
         """The run of entry (i, j) in the lower triangle, row by row."""
         return (i * (i + 1) >> 1) + j if j <= i else (j * (j + 1) >> 1) + i
 
+    def _sum(self, k) -> int:
+        """The pair sum of rank k."""
+        return self._exps[self._lo[k]] + self._exps[self._hi[k]]
+
     def _entry(self, i: int, j: int) -> Dyadic:
         k = self._index(i, j)
         x = self._kept.get(k)
         if x is None:
-            a, b = self._start[k], self._start[k + 1]
-            x = Dyadic(zip(map(self._sums.__getitem__,
-                               self._ranks[a:b].tolist()),
-                           self._coefs[a:b].tolist()))
-            self._kept[k] = x
+            k0, start, ranks, coefs = self._blocks[k // self._step]
+            a, b = start[k - k0], start[k - k0 + 1]
+            x = self._kept[k] = Dyadic(zip(map(self._sum,
+                                               ranks[a:b].tolist()),
+                                           coefs[a:b].tolist()))
         return x
 
-    def _runs(self, rows, big, tri_i, tri_j) -> None:
+    def _runs(self, rows, big, tri_i, tri_j) -> np.ndarray:
         """The entries' nonzero (sum rank, coefficient) runs, every
-        oversize row's left empty."""
+        oversize row's left empty, kept a block of ``_step`` entries at a
+        time as (first entry, run starts, ranks, coefficients); returns
+        the capped gaps of the ranked sums (:func:`_pair_sums`)."""
         n = self.n
         dim = len(rows[0]) if n else 1
         small = [p for p, b in zip(rows, big) if not b]
-        exps = sorted({e for p in small for x in p for e, _ in x.terms})
+        exps = self._exps = sorted({e for p in small for x in p
+                                    for e, _ in x.terms})
         index = {e: r for r, e in enumerate(exps)}
-        # Rank the pair sums, listed row by row of the upper triangle: each
-        # row ascends, so the sort merges runs.
-        flat = [a + b for r, a in enumerate(exps) for b in exps[r:]]
-        sums, rank, last = [], [0] * len(flat), None
-        for k in sorted(range(len(flat)), key=flat.__getitem__):
-            if flat[k] != last:
-                last = flat[k]
-                sums.append(last)
-            rank[k] = len(sums) - 1
-        table = np.zeros((max(len(exps), 1),) * 2, dtype=np.int64)
-        iu, ju = np.triu_indices(len(exps))
-        table[iu, ju] = table[ju, iu] = rank
+        table, self._lo, self._hi, gaps = _pair_sums(exps)
         w = max((len(x.terms) for p in small for x in p), default=1) or 1
         er = np.zeros((n, dim, w), dtype=np.int64)
         co = np.zeros((n, dim, w), dtype=np.int64)
@@ -597,9 +666,8 @@ class ExactGram(_Kernel):
                     for s, (e, c) in enumerate(x.terms):
                         er[i, k, s], co[i, k, s] = index[e], c
         width = dim * w * w
-        counts = np.zeros(tri_i.size, dtype=np.int64)
-        ranks, coefs = [], []
-        step = max(1, _BLOCK // width)
+        step = self._step = max(1, _BLOCK // width)
+        self._blocks = []
         for k0 in range(0, tri_i.size, step):
             a, b = tri_i[k0:k0 + step], tri_j[k0:k0 + step]
             rk = table[er[a][..., :, None], er[b][..., None, :]]
@@ -615,63 +683,72 @@ class ExactGram(_Kernel):
             cf = np.add.reduceat(cf, at)
             nz = cf != 0
             at = at[nz]
-            counts[k0:k0 + a.size] = np.bincount(at // width,
-                                                 minlength=a.size)
-            ranks.append(rk[at].astype(np.int32))
-            coefs.append(cf[nz])
-        start = np.zeros(tri_i.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=start[1:])
-        self._start, self._sums = start, sums
-        self._ranks = np.concatenate(ranks or [np.zeros(0, np.int32)])
-        self._coefs = np.concatenate(coefs or [np.zeros(0, np.int64)])
+            start = np.zeros(a.size + 1, dtype=np.int64)
+            np.cumsum(np.bincount(at // width, minlength=a.size),
+                      out=start[1:])
+            self._blocks.append((k0, start, rk[at], cf[nz]))
+        return gaps
 
-    def _heads(self, shift: int):
-        """Heads and tail counts at 2**shift of every entry's run."""
-        sums = self._sums
-        lo = bisect.bisect_left(sums, -63 - shift)
-        hi = bisect.bisect_left(sums, 64 - shift)
-        at = np.full(len(sums), -63, dtype=np.int64)
-        at[hi:] = 64
-        at[lo:hi] = [s + shift for s in sums[lo:hi]]
-        s, c = at[self._ranks], self._coefs
-        up = c.view(np.uint64) << np.clip(s, 0, 63).astype(np.uint64)
-        down = (c >> np.clip(-s, 0, 63)).view(np.uint64)
-        terms = np.where(s < 0, down, np.where(s < 64, up, 0))
-        return (_runs_sum(terms.view(np.int64), self._start),
-                _runs_sum((s < 0).astype(np.int64), self._start))
+    def _heads(self, shift: int, tri_i, tri_j):
+        """The n x n heads and tail counts at 2**shift of the runs."""
+        # Only the sums in [-63 - shift, 64 - shift) shift by their own
+        # e + H; those below shift as -63, those above as 64.
+        sums = range(self._lo.size)
+        lo = bisect.bisect_left(sums, -63 - shift, key=self._sum)
+        hi = bisect.bisect_left(sums, 64 - shift, lo=lo, key=self._sum)
+        at = np.array([-63] + [self._sum(k) + shift for k in range(lo, hi)]
+                      + [64], dtype=np.int64)
+        heads = np.zeros((self.n, self.n), dtype=np.int64)
+        tails = np.zeros((self.n, self.n), dtype=np.int64)
+        for k0, start, rk, c in self._blocks:
+            e = slice(k0, k0 + start.size - 1)
+            i, j = tri_i[e], tri_j[e]
+            s = at[np.clip(rk - (lo - 1), 0, at.size - 1)]
+            up = c.view(np.uint64) << np.clip(s, 0, 63).astype(np.uint64)
+            down = (c >> np.clip(-s, 0, 63)).view(np.uint64)
+            terms = np.where(s < 0, down, np.where(s < 64, up, 0))
+            heads[i, j] = heads[j, i] = _runs_sum(terms.view(np.int64), start)
+            tails[i, j] = tails[j, i] = _runs_sum((s < 0).astype(np.int64),
+                                                  start)
+        return heads, tails
 
-    def _lead_table(self, tri_i, tri_j, packable) -> Optional[_Leads]:
+    def _lead_table(self, tri_i, tri_j, packable, gaps) -> Optional[_Leads]:
         """The leading-term table of the ``packable`` entries' runs that
-        fit it, or None if none does or a key would leave int64."""
-        start, ranks, coefs = self._start, self._ranks, self._coefs
-        size = np.diff(start)
-        mass = _runs_sum(np.abs(coefs), start)
-        packs = (packable & (size <= _LEAD_TERMS)
-                 & (mass >> _LEAD_MASS_BITS == 0))
-        if not packs.any():
+        fit it, or None if none does or a key would leave int64;
+        ``packable`` is narrowed to them."""
+        most = width = -1
+        for k0, start, _, coefs in self._blocks:
+            size = np.diff(start)
+            mass = _runs_sum(np.abs(coefs), start)
+            packs = packable[k0:k0 + size.size]
+            packs &= (size <= _LEAD_TERMS) & (mass >> _LEAD_MASS_BITS == 0)
+            if packs.any():
+                most = max(most, int(mass[packs].max()))
+                width = max(width, int(size[packs].max()))
+        if most < 0:
             return None
-        bits = (8 * int(mass[packs].max()) + 1).bit_length()
-        pos = np.zeros(len(self._sums), dtype=np.int64)
-        gaps = np.diff(np.array(self._sums, dtype=object))
-        np.cumsum(np.minimum(gaps, bits).astype(np.int64), out=pos[1:])
+        bits = (8 * most + 1).bit_length()
+        pos = np.zeros(gaps.size, dtype=np.int64)
+        np.cumsum(np.minimum(gaps[1:], bits), out=pos[1:])
         p = int(pos[-1]) if pos.size else 0
         if max((p + bits + 1) << bits, (p + 1) * _WORD) >> 63:
             return None             # keys or words would leave int64
-        sel = np.flatnonzero(packs)
-        size = size[sel]
-        width = max(1, int(size.max()))
+        width = max(1, width)
         pad = -_WORD + _BIAS
-        words = np.full((sel.size, width), pad, dtype=np.int64)
-        row = np.repeat(np.arange(sel.size), size)
-        off = np.arange(row.size) - np.repeat(np.cumsum(size) - size, size)
-        src = start[sel][row] + off
-        words[row, size[row] - 1 - off] = (pos[ranks[src]] * _WORD
-                                           + coefs[src] + _BIAS)
-        i, j = tri_i[sel], tri_j[sel]
         table = np.full((self.n, self.n, width), pad, dtype=np.int64)
-        table[i, j] = table[j, i] = words
         ok = np.zeros((self.n, self.n), dtype=bool)
-        ok[i, j] = ok[j, i] = True
+        for k0, start, ranks, coefs in self._blocks:
+            sel = np.flatnonzero(packable[k0:k0 + start.size - 1])
+            size = np.diff(start)[sel]
+            words = np.full((sel.size, width), pad, dtype=np.int64)
+            row = np.repeat(np.arange(sel.size), size)
+            off = np.arange(row.size) - np.repeat(np.cumsum(size) - size, size)
+            src = start[sel][row] + off
+            words[row, size[row] - 1 - off] = (pos[ranks[src]] * _WORD
+                                               + coefs[src] + _BIAS)
+            i, j = tri_i[k0 + sel], tri_j[k0 + sel]
+            table[i, j] = table[j, i] = words
+            ok[i, j] = ok[j, i] = True
         return _Leads(_frozen(table), _frozen(ok), bits)
 
     def value(self, raw) -> RawScalar:
@@ -699,12 +776,13 @@ class ExactGram(_Kernel):
         return max(self.sqdist(i, j)
                    for i, j in zip(iu[keep].tolist(), ju[keep].tolist()))
 
-    def _lead_bounds(self, q, a, b):
+    def _lead_bounds(self, q, a, b, pool=None):
         """Keys ``lo`` and ``hi`` with lo < dot < hi for the raw dots
         (q; a, b) (``a``, ``b`` index arrays of one shape, ``q`` one apex
         or an array of that shape too), and the mask of the dots they hold
         for: all four entries packed and the leading merged term isolated.
-        Elsewhere ``lo`` and ``hi`` are 0."""
+        Elsewhere ``lo`` and ``hi`` are 0. The k rows of w words are worked
+        in arrays of ``pool`` (:func:`_scratch`)."""
         table, ok, bits = self.leads
         k = a.size
         lo, hi = np.zeros(k, np.int64), np.zeros(k, np.int64)
@@ -712,34 +790,59 @@ class ExactGram(_Kernel):
         if not k:
             return lo, hi, sure
         t = table.shape[2]
-        words = np.concatenate((table[a, b], table[q, a], table[q, b],
-                                np.broadcast_to(table[q, q], (k, t))), 1)
+        w = 4 * t
+        size = k * w
+        words = _scratch(pool, "words", size).reshape(k, w)
+        words[:, :t] = table[a, b]
+        words[:, t:2 * t] = table[q, a]
+        words[:, 2 * t:3 * t] = table[q, b]
+        words[:, 3 * t:] = table[q, q]
+        # sums[j + 1] is to hold the coefficients of words 0..j summed.
+        sums = _scratch(pool, "sums", size + 1)
         minus = words[:, t:3 * t]       # G_qa and G_qb enter negated
-        minus -= 2 * ((minus & _WORD - 1) - _BIAS)
+        c = np.bitwise_and(minus, _WORD - 1,
+                           out=sums[1:2 * t * k + 1].reshape(k, 2 * t))
+        c -= _BIAS
+        minus -= c
+        minus -= c
         words.sort(axis=1)
-        w = words.shape[1]
-        words = words[:, ::-1].ravel()          # highest position first
-        p = words >> _LEAD_MASS_BITS + 1
-        c = (words & _WORD - 1) - _BIAS
-        # Sum each run of equal positions within a row; keep the nonzero.
-        start = np.ones(p.size, bool)
-        start[1:] = p[1:] != p[:-1]
-        start[::w] = True
-        at = np.flatnonzero(start)
-        merged = np.add.reduceat(c, at)
-        nz = merged != 0
-        at, merged = at[nz], merged[nz]
-        if not at.size:
-            return lo, hi, sure         # every dot is exactly zero
-        row = at // w
-        first = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
-        rows, v, top = row[first], merged[first], p[at[first]]
-        rest = np.add.reduceat(np.abs(merged), first) - np.abs(v)
-        nxt = np.minimum(first + 1, at.size - 1)
-        alone = (first + 1 == at.size) | (row[nxt] != rows)
-        gap = np.where(alone, 1, top - p[at[nxt]])
+        c = sums[1:].reshape(k, w)
+        np.copyto(c, words[:, ::-1])            # highest position first
+        p = np.right_shift(c, _LEAD_MASS_BITS + 1, out=words).reshape(-1)
+        c &= _WORD - 1
+        c -= _BIAS
+        sums[0] = 0
+        np.cumsum(c.reshape(-1), out=sums[1:])
+        # Merge each run of equal positions within a row: its last word
+        # gets the run's sum, counted from the run's first word.
+        first = _scratch(pool, "first", size, bool)
+        np.not_equal(p[1:], p[:-1], out=first[1:])
+        first[::w] = True
+        at = _scratch(pool, "at", size, np.intp)
+        np.multiply(np.arange(size), first, out=at)
+        np.maximum.accumulate(at, out=at)       # each word's first word
+        merged = np.take(sums, at, out=_scratch(pool, "merged", size),
+                         mode="clip")
+        np.subtract(sums[1:], merged, out=merged)
+        # The merged terms: the last words of the runs, where nonzero.
+        last = _scratch(pool, "last", size, bool)
+        last[:-1] = first[1:]
+        last[-1] = True
+        last &= np.not_equal(merged, 0, out=first)
+        merged, last, p = (x.reshape(k, w) for x in (merged, last, p))
+        r = np.arange(k)
+        lead = last.argmax(axis=1)
+        rows = np.flatnonzero(last[r, lead])    # the dots not exactly zero
+        v, top = merged[r, lead], p[r, lead]
+        rest = np.abs(merged, out=merged)
+        rest *= last
+        rest = rest.sum(axis=1) - np.abs(v)
+        last[r, lead] = False
+        nxt = last.argmax(axis=1)
+        gap = np.where(last[r, nxt], top - p[r, nxt], 1)
         iso = gap > np.frexp(rest.astype(np.float64))[1]
-        sure[rows] = iso & (ok[a, b] & ok[q, a] & ok[q, b] & ok[q, q])[rows]
+        sure[rows] = (iso & ok[a, b] & ok[q, a] & ok[q, b] & ok[q, q])[rows]
+        v, top = v[rows], top[rows]
         lo[rows] = _keys(2 * v - 1, top - 1, bits)
         hi[rows] = _keys(2 * v + 1, top - 1, bits)
         return lo, hi, sure
@@ -778,21 +881,32 @@ class ExactGram(_Kernel):
         """
         iu, ju = np.triu_indices(self.n, k=1)
         hij, tij = self.heads[iu, ju], self.tails[iu, ju]
+        # Every apex's head bounds go to the same three arrays, and its
+        # leading-term bounds to the same pool, for the reason _scratch
+        # gives.
+        d, r, tmp = (np.empty_like(hij) for _ in range(3))
+        pool: dict = {}
         cap = None      # least upper bound of a dot seen, >= the minimum
         cap2 = None     # the same in leading-term keys
         batches = []
         for q in apexes:
             hq, tq = self.heads[q], self.tails[q]
-            d = hij - hq[iu] - hq[ju] + hq[q]
-            r = tij + tq[iu] + tq[ju] + tq[q]
+            np.subtract(hij, np.take(hq, iu, out=tmp, mode="clip"), out=d)
+            d -= np.take(hq, ju, out=tmp, mode="clip")
+            d += hq[q]
+            np.add(tij, np.take(tq, iu, out=tmp, mode="clip"), out=r)
+            r += np.take(tq, ju, out=tmp, mode="clip")
+            r += tq[q]
             away = (iu != q) & (ju != q)
-            top = int((d + r)[away].min())
+            top = int(np.add(d, r, out=tmp).min(
+                where=away, initial=np.iinfo(np.int64).max))
             cap = top if cap is None else min(cap, top)
-            keep = np.flatnonzero(away & (d - r <= cap))
-            low = (d - r)[keep]
+            d -= r                  # the lower bounds
+            keep = np.flatnonzero(away & (d <= cap))
+            low = d[keep]
             lo, sure = None, None
             if self.leads is not None:
-                lo, hi, sure = self._lead_bounds(q, iu[keep], ju[keep])
+                lo, hi, sure = self._lead_bounds(q, iu[keep], ju[keep], pool)
                 if sure.any():
                     top = int(hi[sure].min())
                     cap2 = top if cap2 is None else min(cap2, top)

@@ -22,7 +22,7 @@ from acuta import (ConstructionConfig, ConstructionError, ConstructionTrace,
 from acuta._designs import (DESIGN_MARGINS, LADDER_MAX_DIM,
                             LADDER_MAX_DIM_SECONDS, ladder_ks)
 from acuta import construct
-from acuta.cli import EXIT_CONSTRUCTION, main
+from acuta.cli import EXIT_CONSTRUCTION, EXIT_INPUT, main
 from conftest import naive_baseline, naive_lemma
 
 F = Fraction
@@ -264,6 +264,27 @@ class TestConfig:
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ConstructionConfig(**kwargs)
+
+    @pytest.mark.parametrize("height, text", [
+        ("1e-5000", "exact>0 (~2^-16610)"),
+        ("0.1", "1/10 (0.1)"),
+    ])
+    def test_low_apex_height_is_named_in_one_line(self, height, text):
+        # The refusal names c as the CLI's summary line names a value: the
+        # denominator of 1e-5000 has more digits than str() may print.
+        with pytest.raises(ValueError) as exc:
+            ConstructionConfig(dim=3, apex_height=height)
+        assert str(exc.value) == (f"apex height {text} violates "
+                                  "c^2 > (d-1)/4 (boundary included)")
+
+    def test_cli_refuses_a_tiny_apex_height_in_one_line(self, capsys):
+        assert main(["generate", "3", "--apex-height", "1e-5000"]) == (
+            EXIT_INPUT)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: apex height exact>0 (~2^-16610) "
+                                "violates c^2 > (d-1)/4 (boundary included)\n")
+        assert "Traceback" not in captured.err
 
 
 class TestTraceValidation:

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 import warnings
 import weakref
 from fractions import Fraction
@@ -19,8 +20,8 @@ from acuta import geometry
 from acuta.construct import (ConstructionConfig, apex_point,
                              construct_acute_cube, construct_full,
                              hypercube_vertices, perturb_vertex, safe_radius)
-from acuta.geometry import (_LEAD_TERMS, ExactGram, FloatGram, _digits, _keys,
-                            kernel)
+from acuta.geometry import (_GAP_CAP, _LEAD_TERMS, ExactGram, FloatGram,
+                            _digits, _keys, _pair_sums, kernel)
 from acuta.scalars import FRACTION_BITS
 from acuta.verify import (verify_acute, verify_antipodal_witness,
                           verify_nonobtuse)
@@ -1358,3 +1359,87 @@ class TestFloatGram:
             assert gram.min_dots(range(4)) == (-math.inf,
                                                [(2, 0, 1), (3, 0, 1)])
         assert gram.max_sqdist() == math.inf
+
+
+def _filter_sets():
+    """One set of each shape of TestLeadingTermFilter."""
+    e = -1000
+    a = Dyadic([(e + 1, 1), (e - 2, -3)])
+    b = Dyadic([(e, 1), (e - 3, 3)])
+    heavy = _deep_cube(5, 4, 10 ** 3, 10 ** 4)
+    heavy[0] = (Dyadic([(-1500, 2 ** 13 + 1)]),) + heavy[0][1:]
+    return [_deep_cube(1, 4, 10 ** 3, 10 ** 6),
+            _deep_cube(2, 4, 2000, 2003, coefs=(-7, -5, 5, 7)),
+            [perturb_vertex(v, Dyadic.pow2(-5000))
+             for v in hypercube_vertices(4).points] + [_apex(4)],
+            _two_levels(4, 3000, 5),
+            [(F(0), F(0), F(0)), (F(1), F(0), F(0)), (a, F(1), F(0)),
+             (b, F(1, 2), F(1))],
+            [(F(2) ** (-100 + d),) for d in (0, -5, -8, -12, -17)],
+            heavy]
+
+
+class TestBuildBlocks:
+    """The build ranks the pair sums by a merge and forms its runs, heads
+    and leading-term table a block of ``_BLOCK`` products at a time: any
+    block size must build the same kernel, bit for bit, and the build's
+    peak must stay near what it keeps."""
+
+    @given(st.lists(st.one_of(st.integers(-40, 40),
+                              st.integers(-2 ** 200, 2 ** 200)),
+                    max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_ranks_equal_a_sort_of_every_pair_sum(self, xs):
+        # Small exponents tie often; each distinct sum keeps the pair with
+        # the least r, and its gap to the sum below capped at _GAP_CAP.
+        exps = sorted(set(xs))
+        table, lo, hi, gaps = _pair_sums(exps)
+        sums = sorted({x + y for x in exps for y in exps})
+        pairs = list(zip(lo.tolist(), hi.tolist()))
+        assert [exps[r] + exps[c] for r, c in pairs] == sums
+        assert all(r <= c for r, c in pairs)
+        for r, c in pairs:
+            assert not any(exps[x] + exps[y] == exps[r] + exps[c]
+                           for x in range(r) for y in range(len(exps)))
+        for r, c in itertools.product(range(len(exps)), repeat=2):
+            assert sums[table[r, c]] == exps[r] + exps[c]
+        assert gaps.tolist() == [min(y - x, _GAP_CAP)
+                                 for x, y in zip(sums[:1] + sums, sums)]
+
+    @staticmethod
+    def built(points):
+        gram = ExactGram(points)
+        leads = gram.leads
+        raw, args = gram.minimum()
+        return (gram.heads.tobytes(), gram.tails.tobytes(),
+                None if leads is None else (
+                    leads.words.shape, leads.words.tobytes(),
+                    leads.ok.tobytes(), leads.bits),
+                raw.terms, args, [[x.terms for x in row] for row in gram.g])
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_every_block_size_builds_the_same_kernel(self, block,
+                                                     monkeypatch):
+        sets = [construct_full(ConstructionConfig(dim=d))[0].points
+                for d in (5, 6, 7, 8)] + [_kicked_d5(32)] + _filter_sets()
+        want = [self.built(pts) for pts in sets]
+        assert all(w[2] is not None for w in want)
+        monkeypatch.setattr(geometry, "_BLOCK", block)
+        for pts, w in zip(sets, want):
+            assert self.built(pts) == w
+
+    def test_build_peak_stays_near_what_it_keeps(self):
+        # The d = 8 ladder build peaks 0.54 MB above what it keeps
+        # (tracemalloc); the bound, 1 MiB, is about twice that. A build
+        # that holds a list of every pair sum, or temporaries over all the
+        # runs at once, peaks about 2.1 MB above.
+        points = construct_full(ConstructionConfig(dim=8))[0].points
+        ExactGram(points)                   # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            gram = ExactGram(points)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gram.leads is not None
+        assert peak - kept < 1 << 20
