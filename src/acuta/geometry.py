@@ -10,10 +10,10 @@ by :func:`kernel`. Exact sets use
 :class:`ExactGram`: every coordinate becomes a sparse :class:`Dyadic` (a
 Fraction set's scaled by the lcm of its denominators' odd parts), the Gram
 matrix is built once and each apex inner product is a 4-term sum of its
-entries. The build runs in rank space: every entry is a run of (int32
-rank of its exponent among all pair sums, int64 coefficient) pairs formed
-in numpy a block at a time, and only the entries an exact test touches
-become Dyadic objects.
+entries. The build runs in rank space: heads and leading terms come from
+runs of (int32 rank of an exponent among all pair sums, int64 coefficient)
+pairs formed in numpy a block at a time and dropped after the build; only
+the entries an exact test touches are built, from the rows, as Dyadic.
 Two filters settle most of the sums in numpy first, and only dots neither
 can decide reach the exact sparse sign test:
 
@@ -266,10 +266,15 @@ _GAP_CAP = _LEAD_MASS_BITS + 4
 # A point is oversize when the coefficients of its coordinates' terms sum to
 # 2**31 or more in size: then its entries' coefficients may leave int64.
 _ROW_MASS_BITS = 31
+# The pair-sum merge of E exponents refuses past _MERGE_STEPS * E +
+# _MERGE_SLACK steps. The ladder takes about 2.5 E; E(E + 1)/2, the most
+# any E takes (exponents in arithmetic progression), fits for E <= 365.
+_MERGE_STEPS = 4
+_MERGE_SLACK = 1 << 16
 # Coefficient products the build forms at a time: 256 kB per int64 array.
-# The runs are kept in the blocks of entries that this gives, and the heads
-# and the leading-term table are formed a block at a time, so the d = 8
-# build's peak (tracemalloc) lies about 0.5 MB above what it keeps.
+# The heads and the leading-term table are formed from each block's runs,
+# and no run outlives the build: the d = 8 build peaks at 2.03 MiB
+# (tracemalloc) and keeps 0.98 MiB.
 _BLOCK = 1 << 15
 # Coordinate differences the float diameter forms at a time: 256 kB.
 _FLOAT_BLOCK = 1 << 15
@@ -358,9 +363,10 @@ def _pair_sums(exps: list):
     with no sum held but each row's next. The popped row's sums below the
     least next sum of the other rows, found by bisection, are all new and
     distinct, and are ranked in one numpy step; on the ladder every row
-    comes out in a few such runs.
+    comes out in a few such runs; the merge refuses past its step budget.
     """
     size = len(exps)
+    budget = _MERGE_STEPS * size + _MERGE_SLACK
     table = np.zeros((max(size, 1),) * 2, dtype=np.int32)
     pairs = size * (size + 1) // 2
     lo, hi = np.empty(pairs, np.int32), np.empty(pairs, np.int32)
@@ -368,8 +374,12 @@ def _pair_sums(exps: list):
     steps = np.array([min(b - a, _GAP_CAP) for a, b in zip(exps, exps[1:])],
                      dtype=np.uint8)
     heap = [(e + e, r, r) for r, e in enumerate(exps)]     # sorted: a heap
-    k, last = -1, None
+    k, last, taken = -1, None, 0
     while heap:
+        taken += 1
+        if taken > budget:
+            raise GeometryError(f"the pair sums of {size} distinct exponents"
+                                f" take more than {budget} merge steps")
         s, r, c = heap[0]
         if s != last:
             k += 1
@@ -481,28 +491,22 @@ class ExactGram(_Kernel):
 
     **Entries in rank space.** Every entry is a sparse :class:`Dyadic`, the
     sum of the coefficient products c1 * c2 * 2**(e1 + e2) of its two rows,
-    equal exponents merged. The build never forms those sums as Python
-    objects, nor a list of the pair sums e1 + e2. The distinct exponents e
-    of the coordinate terms are sorted (``_exps``), and a merge
-    (:func:`_pair_sums`) ranks their E(E + 1)/2 pairwise sums among the
-    distinct ones straight into an int32 E x E table. Each distinct sum is
-    kept as the index pair of two exponents (``_lo``, ``_hi``, int32), and
-    a sum is formed only where it is needed. A block of entries at a time
-    (``_BLOCK`` products), numpy forms every product as an (int32 sum rank,
-    int64 c1 * c2) pair, sorts each entry's pairs by rank and sums equal
-    ranks (``np.add.reduceat``); each block keeps the nonzero sums as one
-    run per entry, the runs of the lower triangle in row order
-    (``_blocks``), and the heads and the leading-term table are formed
-    from the runs a block at a time. ``g`` is a read-only n-row view:
-    ``g[i][j]`` rebuilds the Dyadic of one entry from its run on first
-    access and keeps it, with the terms that Dyadic arithmetic gives (every
-    exponent's coefficients summed, zeros dropped). The scans rebuild only
-    the entries their exact tests touch.
+    equal exponents merged, built from the rows where it is needed
+    (:meth:`_entry`) and kept; ``g`` is a read-only n-row view of them. The
+    heads and the leading-term table come from rank space instead. A merge
+    (:func:`_pair_sums`) ranks the E(E + 1)/2 pairwise sums of the E
+    distinct exponents among the distinct ones straight into an int32 E x E
+    table, each distinct sum an int32 index pair; a sum is formed only where
+    the heads need it. A block of entries at a time (``_BLOCK`` products),
+    numpy forms every product as an (int32 sum rank, int64 c1 * c2) pair,
+    sorts each entry's pairs by rank and sums equal ranks
+    (``np.add.reduceat``): one run of nonzero sums per entry, with the
+    terms of the entry's Dyadic. The runs are dropped when the build ends.
 
     **Oversize rule.** A point whose coordinates' coefficients sum to
     M >= 2**31 in size is oversize, and its row -- every entry with it --
-    is built by Dyadic arithmetic on Python ints, heads by
-    :func:`~acuta.scalars.head_split`, and joins no leading-term table.
+    gets no runs: its heads come from its entries by
+    :func:`~acuta.scalars.head_split`, and it joins no leading-term table.
     Every other entry fits int64: for two rows of masses M1, M2 < 2**31,
     each product and each partial sum of an entry's products is at most
     sum_k mass(x_k) * mass(y_k) <= M1 * M2 < 2**62 in size. Only a dense
@@ -594,31 +598,26 @@ class ExactGram(_Kernel):
                 for p in points]
         self._m2 = None if sparse else m * m
         self._sigma = _mirror(rows, Dyadic.of(m))
+        self._rows, self._kept = rows, {}
         big = np.array([sum(x.mass for x in p) >> _ROW_MASS_BITS != 0
                         for p in rows], dtype=bool)
         tri_i, tri_j = np.tril_indices(n)
         over = np.flatnonzero(big[tri_i] | big[tri_j]).tolist()
-        gaps = self._runs(rows, big, tri_i, tri_j)
-        self._kept = {k: sum((x * y for x, y in zip(rows[tri_i[k]],
-                                                     rows[tri_j[k]])), Dyadic())
-                      for k in over}
+        blocks, sums, gaps = self._runs(big, tri_i, tri_j)
         # |G_ij| <= max(G_ii, G_jj) <= top, the largest diagonal entry
         # rounded up to an integer.
         top = max((sum(head_split(self._entry(i, i), 0)) for i in range(n)),
                   default=0)
         shift = self._shift = _HEAD_BITS - top.bit_length()
-        heads, tails = self._heads(shift, tri_i, tri_j)
-        for k in over:
-            i, j = tri_i[k], tri_j[k]
-            h, t = head_split(self._kept[k], shift)
+        heads, tails = self._heads(shift, tri_i, tri_j, blocks, sums)
+        for i, j in zip(tri_i[over].tolist(), tri_j[over].tolist()):
+            h, t = head_split(self._entry(i, j), shift)
             heads[i, j] = heads[j, i] = h
             tails[i, j] = tails[j, i] = t
         self.heads, self.tails = _frozen(heads), _frozen(tails)
         self.leads = None
         if tails.any():
-            packable = np.ones(tri_i.size, dtype=bool)
-            packable[over] = False
-            self.leads = self._lead_table(tri_i, tri_j, packable, gaps)
+            self.leads = self._lead_table(tri_i, tri_j, over, blocks, gaps)
 
     @property
     def g(self) -> _Entries:
@@ -627,36 +626,31 @@ class ExactGram(_Kernel):
 
     @staticmethod
     def _index(i: int, j: int) -> int:
-        """The run of entry (i, j) in the lower triangle, row by row."""
+        """The index of entry (i, j) in the lower triangle, row by row."""
         return (i * (i + 1) >> 1) + j if j <= i else (j * (j + 1) >> 1) + i
 
-    def _sum(self, k) -> int:
-        """The pair sum of rank k."""
-        return self._exps[self._lo[k]] + self._exps[self._hi[k]]
-
     def _entry(self, i: int, j: int) -> Dyadic:
+        """Entry (i, j), built from the rows on first access and kept."""
         k = self._index(i, j)
         x = self._kept.get(k)
         if x is None:
-            k0, start, ranks, coefs = self._blocks[k // self._step]
-            a, b = start[k - k0], start[k - k0 + 1]
-            x = self._kept[k] = Dyadic(zip(map(self._sum,
-                                               ranks[a:b].tolist()),
-                                           coefs[a:b].tolist()))
+            x = self._kept[k] = Dyadic(
+                (ea + eb, ca * cb)
+                for a, b in zip(self._rows[i], self._rows[j])
+                for ea, ca in a.terms for eb, cb in b.terms)
         return x
 
-    def _runs(self, rows, big, tri_i, tri_j) -> np.ndarray:
-        """The entries' nonzero (sum rank, coefficient) runs, every
-        oversize row's left empty, kept a block of ``_step`` entries at a
-        time as (first entry, run starts, ranks, coefficients); returns
-        the capped gaps of the ranked sums (:func:`_pair_sums`)."""
-        n = self.n
+    def _runs(self, big, tri_i, tri_j):
+        """The entries' nonzero (sum rank, coefficient) runs, oversize rows
+        left empty, a block at a time as (first entry, run starts, ranks,
+        coefficients); the ranked pair sums as (exponents, lo, hi); and
+        their capped gaps (:func:`_pair_sums`)."""
+        n, rows = self.n, self._rows
         dim = len(rows[0]) if n else 1
         small = [p for p, b in zip(rows, big) if not b]
-        exps = self._exps = sorted({e for p in small for x in p
-                                    for e, _ in x.terms})
+        exps = sorted({e for p in small for x in p for e, _ in x.terms})
         index = {e: r for r, e in enumerate(exps)}
-        table, self._lo, self._hi, gaps = _pair_sums(exps)
+        table, lo, hi, gaps = _pair_sums(exps)
         w = max((len(x.terms) for p in small for x in p), default=1) or 1
         er = np.zeros((n, dim, w), dtype=np.int64)
         co = np.zeros((n, dim, w), dtype=np.int64)
@@ -666,8 +660,8 @@ class ExactGram(_Kernel):
                     for s, (e, c) in enumerate(x.terms):
                         er[i, k, s], co[i, k, s] = index[e], c
         width = dim * w * w
-        step = self._step = max(1, _BLOCK // width)
-        self._blocks = []
+        step = max(1, _BLOCK // width)
+        blocks = []
         for k0 in range(0, tri_i.size, step):
             a, b = tri_i[k0:k0 + step], tri_j[k0:k0 + step]
             rk = table[er[a][..., :, None], er[b][..., None, :]]
@@ -686,24 +680,27 @@ class ExactGram(_Kernel):
             start = np.zeros(a.size + 1, dtype=np.int64)
             np.cumsum(np.bincount(at // width, minlength=a.size),
                       out=start[1:])
-            self._blocks.append((k0, start, rk[at], cf[nz]))
-        return gaps
+            blocks.append((k0, start, rk[at], cf[nz]))
+        return blocks, (exps, lo, hi), gaps
 
-    def _heads(self, shift: int, tri_i, tri_j):
+    def _heads(self, shift: int, tri_i, tri_j, blocks, sums):
         """The n x n heads and tail counts at 2**shift of the runs."""
         # Only the sums in [-63 - shift, 64 - shift) shift by their own
         # e + H; those below shift as -63, those above as 64.
-        sums = range(self._lo.size)
-        lo = bisect.bisect_left(sums, -63 - shift, key=self._sum)
-        hi = bisect.bisect_left(sums, 64 - shift, lo=lo, key=self._sum)
-        at = np.array([-63] + [self._sum(k) + shift for k in range(lo, hi)]
-                      + [64], dtype=np.int64)
+        exps, lo, hi = sums
+
+        def pair(k: int) -> int:
+            return exps[lo[k]] + exps[hi[k]]
+        a = bisect.bisect_left(range(lo.size), -63 - shift, key=pair)
+        b = bisect.bisect_left(range(lo.size), 64 - shift, lo=a, key=pair)
+        at = np.array([-63] + [pair(k) + shift for k in range(a, b)] + [64],
+                      dtype=np.int64)
         heads = np.zeros((self.n, self.n), dtype=np.int64)
         tails = np.zeros((self.n, self.n), dtype=np.int64)
-        for k0, start, rk, c in self._blocks:
+        for k0, start, rk, c in blocks:
             e = slice(k0, k0 + start.size - 1)
             i, j = tri_i[e], tri_j[e]
-            s = at[np.clip(rk - (lo - 1), 0, at.size - 1)]
+            s = at[np.clip(rk - (a - 1), 0, at.size - 1)]
             up = c.view(np.uint64) << np.clip(s, 0, 63).astype(np.uint64)
             down = (c >> np.clip(-s, 0, 63)).view(np.uint64)
             terms = np.where(s < 0, down, np.where(s < 64, up, 0))
@@ -712,12 +709,15 @@ class ExactGram(_Kernel):
                                                   start)
         return heads, tails
 
-    def _lead_table(self, tri_i, tri_j, packable, gaps) -> Optional[_Leads]:
-        """The leading-term table of the ``packable`` entries' runs that
-        fit it, or None if none does or a key would leave int64;
-        ``packable`` is narrowed to them."""
+    def _lead_table(self, tri_i, tri_j, over, blocks,
+                    gaps) -> Optional[_Leads]:
+        """The leading-term table of the runs that fit it, leaving out the
+        ``over`` (oversize) entries, or None if none does or a key would
+        leave int64."""
+        packable = np.ones(tri_i.size, dtype=bool)
+        packable[over] = False
         most = width = -1
-        for k0, start, _, coefs in self._blocks:
+        for k0, start, _, coefs in blocks:
             size = np.diff(start)
             mass = _runs_sum(np.abs(coefs), start)
             packs = packable[k0:k0 + size.size]
@@ -737,7 +737,7 @@ class ExactGram(_Kernel):
         pad = -_WORD + _BIAS
         table = np.full((self.n, self.n, width), pad, dtype=np.int64)
         ok = np.zeros((self.n, self.n), dtype=bool)
-        for k0, start, ranks, coefs in self._blocks:
+        for k0, start, ranks, coefs in blocks:
             sel = np.flatnonzero(packable[k0:k0 + start.size - 1])
             size = np.diff(start)[sel]
             words = np.full((sel.size, width), pad, dtype=np.int64)

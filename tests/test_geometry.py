@@ -430,6 +430,24 @@ class TestRankSpaceBuild:
         assert gram._shift < 0
         _bracketed(gram)
 
+    def test_the_diameter_bound_counts_the_pair_tail_twice(self):
+        # G_01 = 1 - d - e1 - e2 - e1 d - e2 d: five negative terms below
+        # 2**-H, each floored a whole unit down and entering |p_0 - p_1|^2
+        # twice, against two floored terms of G_00 and one of G_11 (whose
+        # terms in d cancel). Had the bound counted t_01 once, the pair's
+        # lower end would pass its true value, 3 + 2**-99 and less, and cut
+        # the pair (2, 3), whose squared distance 3 + 2**-60 is the
+        # diameter.
+        e1, e2, d = (F(2) ** -k for k in (100, 110, 120))
+        pts = [(F(1), e1, e2, F(0)), (1 - d, -1 - d, -1 - d, -1 + d),
+               (F(0), F(-1), F(0), F(0)), (F(2) ** -30, F(0), F(-1), F(-1))]
+        gram = ExactGram(pts)
+        _bracketed(gram)
+        assert gram.tails[:2, :2].tolist() == [[2, 5], [5, 1]]
+        assert gram.value(gram.max_sqdist()) == 3 + F(2) ** -60 == max(
+            sum((x - y) ** 2 for x, y in zip(p, q))
+            for p, q in itertools.combinations(pts, 2))
+
     @given(st.integers(0, 10 ** 6), st.integers(3, 8), st.integers(2, 4))
     @settings(max_examples=25, deadline=None)
     def test_an_oversize_row_among_int64_rows(self, seed, n, dim):
@@ -797,6 +815,21 @@ class TestLeadingTermFilter:
                (b, F(1, 2), F(1))]
         gram = self.check(pts)[0]
         assert gram.value(gram.min_dots(range(4))[0]) == a < b
+
+    def test_a_gap_equal_to_the_mass_after_it_is_not_isolated(self):
+        # At apex 0 the two smallest dots are A = 2**e + 3 * 2**(e-2), whose
+        # next term lies exactly bitlen(3) = 2 below its leading one, and
+        # B = 7 * 2**(e-2) - 2**(e-100) just below it. A leading term is
+        # isolated only past that gap: A itself, 1.75 * 2**e, lies outside
+        # ((2 - 1) * 2**(e-1), (2 + 1) * 2**(e-1)), and keys taken for it
+        # would end below B's lower key, 13 * 2**(e-3), and cut B.
+        e = -1000
+        a = Dyadic([(e, 1), (e - 2, 3)])
+        b = Dyadic([(e - 2, 7), (e - 100, -1)])
+        pts = [(F(0), F(0), F(0)), (F(1), F(0), F(0)), (a, F(1), F(0)),
+               (b, F(1, 2), F(1))]
+        gram = self.check(pts)[0]
+        assert gram.value(gram.min_dots(range(4))[0]) == b < a
 
     @pytest.mark.parametrize("gap", [1, 2, 3, 4, 5, 6, 40])
     def test_capped_positions_order_every_pair_of_ends(self, gap):
@@ -1429,10 +1462,11 @@ class TestBuildBlocks:
             assert self.built(pts) == w
 
     def test_build_peak_stays_near_what_it_keeps(self):
-        # The d = 8 ladder build peaks 0.54 MB above what it keeps
-        # (tracemalloc); the bound, 1 MiB, is about twice that. A build
-        # that holds a list of every pair sum, or temporaries over all the
-        # runs at once, peaks about 2.1 MB above.
+        # The d = 8 ladder build peaks at 2.03 MiB (tracemalloc) and keeps
+        # 0.98 MiB: heads, tails, the leading-term table, the rows and the
+        # entries it built. A build that held temporaries over all the
+        # runs at once would peak near 3.6 MiB, and a kernel that kept the
+        # runs would keep 1.52 MiB.
         points = construct_full(ConstructionConfig(dim=8))[0].points
         ExactGram(points)                   # numpy's first-call allocations
         tracemalloc.start()
@@ -1442,4 +1476,14 @@ class TestBuildBlocks:
         finally:
             tracemalloc.stop()
         assert gram.leads is not None
-        assert peak - kept < 1 << 20
+        assert peak < 2.5 * (1 << 20)
+        assert kept < 1.25 * (1 << 20)
+
+    def test_the_merge_refuses_past_its_budget(self):
+        # Exponents in arithmetic progression take one merge step per pair
+        # (r, c), E(E + 1)/2 of them for 2E - 1 distinct sums: within the
+        # budget 4 E + 2**16 up to E = 365.
+        assert len(_pair_sums(list(range(0, 67 * 365, 67)))[1]) == 729
+        with pytest.raises(GeometryError, match=r"^the pair sums of 366 "
+                           r"distinct exponents take more than 67000 "):
+            _pair_sums(list(range(0, 67 * 366, 67)))

@@ -769,6 +769,26 @@ class TestCli:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "75bf70ccc918f6fe6484ca208a7d97a5dcaca422cf0fe9accfd39c71412a20fb")
 
+    def test_verify_refuses_a_quadratic_merge_at_once(self, tmp_path,
+                                                      capsys):
+        # Three points in R^2, each coordinate 1024 one-bit terms, the 6144
+        # exponents 67 apart: a 72 kB file whose pair sums tie, so the
+        # merge that ranks them would take one step per pair, 18.9 million,
+        # before the exact Gram was built.
+        points = [["+".join(f"0x1p-{67 * (6 * t + 2 * p + c)}"
+                            for t in range(_MAX_TERMS)) for c in range(2)]
+                  for p in range(3)]
+        path = write_json(tmp_path / "merge.json", {
+            "backend": "rational", "dim": 2, "points": points})
+        assert 70_000 < Path(path).stat().st_size < 75_000
+        t0 = time.perf_counter()
+        assert main(["verify", path]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: the pair sums of 6144 distinct "
+                              "exponents take more than 90112 merge steps")
+
 
 class TestObjShape:
     def test_point_set_obj_has_expected_keys(self):
